@@ -36,7 +36,7 @@ from .graph import distances, is_connected
 from .harness import build_graph_spec, default_grid, emit_table, run_verify, theorem_ids
 from .io import dumps_json, encode_graph6, read_graph, write_graph
 from .invariants import alpha, eta, omega, rho
-from .solver import characterization_check, gp_auto, gp_diam2, gp_exact, is_general_position
+from .solver import characterization_check, gp_auto, is_general_position
 
 DEFAULT_BUDGET_MS = 10000.0
 
@@ -114,14 +114,12 @@ def construct(family, args, spec_json, out_path, fmt):
 
 @main.command("gp")
 @click.option("--graph", "path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--method", type=click.Choice(["auto", "exact", "diam2"]), default="auto")
 @_budget_options
 @_input_errors
-def gp_cmd(path, method, budget_nodes, budget_ms):
+def gp_cmd(path, budget_nodes, budget_ms):
     """Compute gp(G) with witness."""
     g = read_graph(path)
-    solver = {"auto": gp_auto, "exact": gp_exact, "diam2": gp_diam2}[method]
-    r = solver(g, _budget(budget_nodes, budget_ms))
+    r = gp_auto(g, _budget(budget_nodes, budget_ms))
     click.echo(
         json.dumps(
             {

@@ -12,9 +12,3 @@ class ParseError(InputError):
         super().__init__(f"{message} (at byte offset {offset})")
         self.offset = offset
 
-
-class ConsistencyError(RuntimeError):
-    """Raised when two computations that must agree by construction disagree.
-
-    This always indicates a bug in one of the two paths, never bad input.
-    """

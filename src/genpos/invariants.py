@@ -12,9 +12,9 @@ non-adjacency is transitive on S; for ρ because vertices in different
 components of G[S] are automatically at distance ≥ 2). A single part is
 admitted as complete multipartite — the edgeless complement of a clique —
 so η(G) ≥ ω(G) here; this matches how the k=1 case behaves in the product
-proofs that rely on η. The two entry points therefore share one search and
-one predicate (:func:`is_cluster_set`) but are kept separate, with the
-equality η = ρ checked exhaustively in the test suite.
+proofs that rely on η. The two public names therefore run one search and
+share one predicate (:func:`is_cluster_set`); the test suite checks η = ρ
+against brute-force oracles written separately for each definition.
 
 All searches are deterministic: vertices are branched in descending-degree
 order (ties by id) and the incumbent is replaced only on strict improvement,
@@ -52,11 +52,12 @@ def _iter_bits(mask: int):
         mask ^= b
 
 
-def _degree_order(g: Graph) -> tuple[list[int], list[int]]:
+def _degree_order(g: Graph) -> tuple[list[int], list[int], list[int]]:
     """Relabel by descending degree (ties by id).
 
-    Returns (bits, order) where order[i] is the original id of internal
-    vertex i and bits is the internal-id adjacency bitmask list.
+    Returns (bits, order, pos) where order[i] is the original id of internal
+    vertex i, pos is its inverse, and bits is the internal-id adjacency
+    bitmask list.
     """
     order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
     pos = [0] * g.n
@@ -68,7 +69,7 @@ def _degree_order(g: Graph) -> tuple[list[int], list[int]]:
         for u in g.adj[v]:
             m |= 1 << pos[u]
         bits[pos[v]] = m
-    return bits, order
+    return bits, order, pos
 
 
 def _to_original(mask: int, order: list[int]) -> VertexSet:
@@ -100,11 +101,11 @@ def _color_bound(P: int, bits: list[int]) -> tuple[list[int], list[int]]:
     return verts, bound
 
 
-def _run_omega(g: Graph, clock: SearchClock, lower: int = 0) -> tuple[int, VertexSet]:
+def _run_omega(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
     if g.n == 0:
         return 0, ()
-    bits, order = _degree_order(g)
-    best_size = lower
+    bits, order, _ = _degree_order(g)
+    best_size = 0
     best_mask = 0
 
     def expand(size: int, rmask: int, P: int) -> None:
@@ -176,25 +177,13 @@ def is_cluster_set(g: Graph, members) -> bool:
     return True
 
 
-def _run_cluster(
-    g: Graph, clock: SearchClock, seed: VertexSet | None = None
-) -> tuple[int, VertexSet]:
-    """Largest S with g[S] a disjoint union of cliques.
-
-    ``seed`` is a warm-start incumbent; the caller is responsible for its
-    validity under :func:`is_cluster_set`.
-    """
+def _run_cluster(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
+    """Largest S with g[S] a disjoint union of cliques."""
     if g.n == 0:
         return 0, ()
-    bits, order = _degree_order(g)
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
+    bits, order, _ = _degree_order(g)
+    best_size = 0
     best_mask = 0
-    if seed:
-        for v in seed:
-            best_mask |= 1 << pos[v]
-    best_size = best_mask.bit_count()
 
     def expand(S: int, size: int, comps: list[int], C: int) -> None:
         nonlocal best_size, best_mask
@@ -232,16 +221,16 @@ def _run_cluster(
     return best_size, _to_original(best_mask, order)
 
 
-def eta(g: Graph, budget: Budget | None = None) -> InvariantResult:
-    """η(g): maximum order of an induced complete multipartite subgraph of
-    the complement; equivalently the largest S with g[S] a cluster graph."""
-    clock = SearchClock(budget)
-    value, witness = _run_cluster(g, clock)
-    return InvariantResult(value, witness, clock.nodes, clock.status)
-
-
 def rho(g: Graph, budget: Budget | None = None) -> InvariantResult:
     """ρ(g): maximum vertices covered by pairwise independent cliques."""
     clock = SearchClock(budget)
     value, witness = _run_cluster(g, clock)
     return InvariantResult(value, witness, clock.nodes, clock.status)
+
+
+def eta(g: Graph, budget: Budget | None = None) -> InvariantResult:
+    """η(g): maximum order of an induced complete multipartite subgraph of
+    the complement; equivalently the largest S with g[S] a cluster graph.
+
+    The same search as :func:`rho`, with the same result."""
+    return rho(g, budget)

@@ -13,11 +13,16 @@ definition (:func:`is_general_position`) and the structural characterization
 of G[S] are cliques whose vertex sets form a distance-constant, in-transitive
 partition.
 
-``gp_exact`` runs a depth-first branch and bound. For every vertex pair
-(a, b) it precomputes the bitmask of third vertices y making {a, b, y}
-collinear; the candidate set then shrinks by O(|S|) mask operations per
-extension and stays exactly the set of vertices that keep S in general
-position (general position is hereditary, so this pruning is lossless).
+``gp_exact`` is the one gp search, for graphs of every diameter;
+``gp_auto`` is another name for the same function. It uses no theorem about
+gp, so comparing it on diameter-2 graphs with max{ω, η} and ρ from
+:mod:`genpos.invariants` tests the paper's gp = max{ω, η} = ρ by two
+independent computations. It runs a depth-first branch and bound: for every
+vertex pair (a, b) it precomputes the bitmask of third vertices y making
+{a, b, y} collinear; the candidate set then shrinks by O(|S|) mask
+operations per extension and stays exactly the set of vertices that keep S
+in general position (general position is hereditary, so this pruning is
+lossless).
 Branching follows descending degree (ties by id) and the incumbent is
 replaced only on strict improvement, so exact results are deterministic.
 
@@ -32,19 +37,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .budget import EXACT, Budget, SearchClock
-from .errors import ConsistencyError, InputError
+from .budget import Budget, SearchClock
+from .errors import InputError
 from .graph import (
     INFINITY,
     DistanceMatrix,
     Graph,
     VertexSet,
-    diameter,
     distances,
     is_connected,
     vertex_set,
 )
-from .invariants import _Exhausted, _run_cluster, _run_omega, is_cluster_set
+from .invariants import _degree_order, _Exhausted, _to_original
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +60,7 @@ class GpResult:
     status: str  # "exact" | "lower-bound"
     nodes_explored: int
     elapsed_ms: float
-    method: str  # "exact" | "diam2"
+    method: str  # "exact"; "alpha" on the harness's ekr reports
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,10 +174,7 @@ def _run_gp(g: Graph, dm: DistanceMatrix, clock: SearchClock, seed: VertexSet | 
     n = g.n
     if n == 0:
         return 0, ()
-    order = sorted(range(n), key=lambda v: (-len(g.adj[v]), v))
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
+    _, order, pos = _degree_order(g)
     d = dm.d
 
     # blocked[a][b]: bitmask of internal ids y with {a, b, y} collinear
@@ -199,9 +200,8 @@ def _run_gp(g: Graph, dm: DistanceMatrix, clock: SearchClock, seed: VertexSet | 
             blocked[bi][ai] = m
 
     best_mask = 0
-    if seed:
-        for v in seed:
-            best_mask |= 1 << pos[v]
+    for v in seed or ():
+        best_mask |= 1 << pos[v]
     best_size = best_mask.bit_count()
     chosen: list[int] = []
 
@@ -231,14 +231,7 @@ def _run_gp(g: Graph, dm: DistanceMatrix, clock: SearchClock, seed: VertexSet | 
         expand(0, (1 << n) - 1)
     except _Exhausted:
         pass
-    return best_size, tuple(sorted(order[i] for i in _bits(best_mask)))
-
-
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
+    return best_size, _to_original(best_mask, order)
 
 
 def gp_exact(g: Graph, budget: Budget | None = None, initial_witness=None) -> GpResult:
@@ -259,48 +252,4 @@ def gp_exact(g: Graph, budget: Budget | None = None, initial_witness=None) -> Gp
     return GpResult(value, witness, clock.status, clock.nodes, clock.elapsed_ms(), "exact")
 
 
-def _remaining(budget: Budget | None, clock: SearchClock) -> Budget:
-    if budget is None:
-        return Budget()
-    nodes = None if budget.max_nodes is None else max(0, budget.max_nodes - clock.nodes)
-    ms = None if budget.max_ms is None else max(0.0, budget.max_ms - clock.elapsed_ms())
-    return Budget(nodes, ms)
-
-
-def gp_diam2(g: Graph, budget: Budget | None = None, initial_witness=None) -> GpResult:
-    """gp for diameter-2 graphs: gp(G) = ρ(G) = max{ω(G), η(G)}.
-
-    Runs the ρ search and returns its witness (a union of pairwise
-    independent cliques is in general position when diam = 2). When ρ
-    finished exactly and budget remains, ω is recomputed as a cross-check;
-    η shares ρ's search and needs no second run, so the max{ω, η} form
-    reduces to verifying ω ≤ ρ. Disagreement raises ConsistencyError —
-    it would contradict a theorem, hence flag a bug.
-    """
-    if diameter(g) != 2:
-        raise InputError("gp_diam2 requires a graph of diameter exactly 2")
-    seed = None
-    if initial_witness is not None:
-        seed = vertex_set(initial_witness, g.n)
-        if not is_cluster_set(g, seed):
-            raise InputError("initial_witness does not induce a disjoint union of cliques")
-    clock = SearchClock(budget)
-    value, witness = _run_cluster(g, clock, seed)
-    status = clock.status
-    nodes = clock.nodes
-    if status == EXACT:
-        cross = SearchClock(_remaining(budget, clock))
-        w_val, _ = _run_omega(g, cross)
-        nodes += cross.nodes
-        if cross.status == EXACT and max(w_val, value) != value:
-            raise ConsistencyError(
-                f"omega = {w_val} exceeds rho = {value} on a diameter-2 graph"
-            )
-    return GpResult(value, witness, status, nodes, clock.elapsed_ms(), "diam2")
-
-
-def gp_auto(g: Graph, budget: Budget | None = None, initial_witness=None) -> GpResult:
-    """Dispatch: the ρ route when diam(g) = 2, otherwise the exact search."""
-    if diameter(g) == 2:
-        return gp_diam2(g, budget, initial_witness)
-    return gp_exact(g, budget, initial_witness)
+gp_auto = gp_exact

@@ -71,14 +71,8 @@ def test_gp_on_petersen(runner, petersen_file):
     rec = json.loads(res.output)
     assert rec["value"] == 6
     assert rec["status"] == "exact"
-    assert rec["method"] == "diam2"
+    assert rec["method"] == "exact"
     assert len(rec["witness"]) == 6
-
-
-def test_gp_method_mismatch_exits_2(runner, p4_file):
-    res = runner.invoke(main, ["gp", "--graph", p4_file, "--method", "diam2"])
-    assert res.exit_code == 2
-    assert "diameter" in res.stderr
 
 
 def test_gp_budget_nodes_gives_lower_bound(runner, petersen_file):
