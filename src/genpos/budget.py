@@ -25,7 +25,8 @@ class SearchClock:
     """Mutable per-call search state: node counter plus deadline checks.
 
     The wall clock is only consulted every 256 nodes to keep the per-node
-    overhead to a couple of integer operations.
+    overhead to a couple of integer operations; work outside the search tree
+    checks the deadline itself with :meth:`expired`.
     """
 
     __slots__ = ("max_nodes", "deadline", "nodes", "started", "exhausted")
@@ -56,6 +57,13 @@ class SearchClock:
             if time.monotonic() > self.deadline:
                 self.exhausted = True
         return not self.exhausted
+
+    def expired(self) -> bool:
+        """Check the deadline without counting a node, for work done before
+        the search (such as precompute); True once the budget is spent."""
+        if not self.exhausted and self.deadline is not None:
+            self.exhausted = time.monotonic() > self.deadline
+        return self.exhausted
 
     def elapsed_ms(self) -> float:
         return (time.monotonic() - self.started) * 1000.0

@@ -17,14 +17,30 @@ partition.
 ``gp_auto`` is another name for the same function. It uses no theorem about
 gp, so comparing it on diameter-2 graphs with max{ω, η} and ρ from
 :mod:`genpos.invariants` tests the paper's gp = max{ω, η} = ρ by two
-independent computations. It runs a depth-first branch and bound: for every
-vertex pair (a, b) it precomputes the bitmask of third vertices y making
-{a, b, y} collinear; the candidate set then shrinks by O(|S|) mask
+independent computations. It runs a depth-first branch and bound over
+conflict masks: for every vertex pair (a, b), the bitmask of the third
+vertices y that make {a, b, y} collinear.
+
+The masks are built from distance levels, with no distance matrix. A bitset
+BFS from each vertex a gives L_a[k], the vertices at distance k from a. For
+a pair at finite distance d, a vertex y is collinear with a and b exactly
+when it lies between them (L_a[k] & L_b[d-k], 0 < k < d), beyond b
+(L_b[k] & L_a[d+k], k >= 1) or beyond a (L_a[k] & L_b[d+k], k >= 1); the
+mask is the OR of these three parts. A vertex outside a's component is in
+no L_a[k], so pairs at infinite distance keep mask 0 and no mask holds a
+vertex of another component: the infinity rule above. The whole precompute
+is O(n^2 * diam) big-int operations. Both passes check the deadline once per
+source vertex, so a ``max_ms`` budget covers precompute as well as search;
+when it runs out before the search starts, the result is the initial
+witness (or the empty set) with status "lower-bound".
+
+The search runs on an explicit stack, so its depth is not bounded by
+Python's recursion limit. The candidate set shrinks by O(|S|) mask
 operations per extension and stays exactly the set of vertices that keep S
 in general position (general position is hereditary, so this pruning is
-lossless).
-Branching follows descending degree (ties by id) and the incumbent is
-replaced only on strict improvement, so exact results are deterministic.
+lossless). Branching follows descending degree (ties by id) and the
+incumbent is replaced only on strict improvement, so exact results are
+deterministic.
 
 Disconnected inputs are handled by the same definition under the infinity
 semantics above — no component decomposition is attempted. This reproduces
@@ -48,7 +64,7 @@ from .graph import (
     is_connected,
     vertex_set,
 )
-from .invariants import _degree_order, _Exhausted, _to_original
+from .invariants import _degree_order, _to_original
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,67 +186,105 @@ def characterization_check(g: Graph, dm: DistanceMatrix, s) -> CharacterizationR
     return CharacterizationResult(True, partition, None)
 
 
-def _run_gp(g: Graph, dm: DistanceMatrix, clock: SearchClock, seed: VertexSet | None) -> tuple[int, VertexSet]:
+def _conflict_masks(bits: list[int], clock: SearchClock) -> list[list[int]] | None:
+    """blocked[a][b]: bitmask of the y with {a, b, y} collinear; None once
+    the deadline passes (checked once per source row, counting no node)."""
+    n = len(bits)
+    # levels[a][k]: bitmask of the vertices at distance k from a
+    levels = []
+    for a in range(n):
+        if clock.expired():
+            return None
+        seen = frontier = 1 << a
+        row = [frontier]
+        while True:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= bits[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+            row.append(frontier)
+        levels.append(row)
+
+    # pairs at infinite distance never meet in a level and keep mask 0
+    blocked = [[0] * n for _ in range(n)]
+    for a in range(n):
+        if clock.expired():
+            return None
+        La = levels[a]
+        row = blocked[a]
+        for d in range(1, len(La)):
+            later = La[d] >> (a + 1) << (a + 1)
+            while later:
+                low = later & -later
+                later ^= low
+                b = low.bit_length() - 1
+                Lb = levels[b]
+                m = 0
+                for x, y in zip(La[1:d], Lb[d - 1 : 0 : -1]):  # between a and b
+                    m |= x & y
+                for x, y in zip(Lb[1:], La[d + 1 :]):  # beyond b
+                    m |= x & y
+                for x, y in zip(La[1:], Lb[d + 1 :]):  # beyond a
+                    m |= x & y
+                row[b] = m
+                blocked[b][a] = m
+    return blocked
+
+
+def _run_gp(g: Graph, clock: SearchClock, seed: VertexSet | None) -> tuple[int, VertexSet]:
     n = g.n
     if n == 0:
         return 0, ()
-    _, order, pos = _degree_order(g)
-    d = dm.d
-
-    # blocked[a][b]: bitmask of internal ids y with {a, b, y} collinear
-    blocked = [[0] * n for _ in range(n)]
-    for ai in range(n):
-        a = order[ai]
-        da = d[a]
-        for bi in range(ai + 1, n):
-            b = order[bi]
-            dab = da[b]
-            db = d[b]
-            m = 0
-            for yi in range(n):
-                if yi == ai or yi == bi:
-                    continue
-                y = order[yi]
-                day, dby = da[y], db[y]
-                if dab == INFINITY or day == INFINITY or dby == INFINITY:
-                    continue
-                if dab == day + dby or day == dab + dby or dby == dab + day:
-                    m |= 1 << yi
-            blocked[ai][bi] = m
-            blocked[bi][ai] = m
-
+    bits, order, pos = _degree_order(g)
     best_mask = 0
     for v in seed or ():
         best_mask |= 1 << pos[v]
     best_size = best_mask.bit_count()
+    blocked = _conflict_masks(bits, clock)
+    if blocked is None:
+        return best_size, _to_original(best_mask, order)
+
+    # Depth-first search on an explicit stack: stack[i] holds the candidates
+    # not yet branched on below chosen[:i], each of which keeps chosen[:i]
+    # plus itself in general position. len(chosen) never exceeds best_size.
+    tick = clock.tick
     chosen: list[int] = []
-
-    def expand(smask: int, C: int) -> None:
-        nonlocal best_size, best_mask
-        while C:
-            if not clock.tick():
-                raise _Exhausted
-            if len(chosen) + C.bit_count() <= best_size:
-                return
-            xbit = C & -C
-            C ^= xbit
-            x = xbit.bit_length() - 1
-            kill = 0
-            for s in chosen:
-                kill |= blocked[x][s]
-            newC = C & ~kill
-            chosen.append(x)
-            if len(chosen) > best_size:
-                best_size = len(chosen)
-                best_mask = smask | xbit
-            if newC:
-                expand(smask | xbit, newC)
+    smask = 0
+    stack = [(1 << n) - 1]
+    while stack:
+        C = stack[-1]
+        if C and not tick():
+            break
+        if len(chosen) + C.bit_count() <= best_size:
+            # frame done: undo the choice that opened it
+            stack.pop()
+            if chosen:
+                smask ^= 1 << chosen.pop()
+            continue
+        xbit = C & -C
+        C ^= xbit
+        stack[-1] = C
+        x = xbit.bit_length() - 1
+        bx = blocked[x]
+        kill = 0
+        for s in chosen:
+            kill |= bx[s]
+        chosen.append(x)
+        smask |= xbit
+        if len(chosen) > best_size:
+            best_size = len(chosen)
+            best_mask = smask
+        newC = C & ~kill
+        if newC:
+            stack.append(newC)
+        else:
             chosen.pop()
-
-    try:
-        expand(0, (1 << n) - 1)
-    except _Exhausted:
-        pass
+            smask ^= xbit
     return best_size, _to_original(best_mask, order)
 
 
@@ -242,13 +296,12 @@ def gp_exact(g: Graph, budget: Budget | None = None, initial_witness=None) -> Gp
     position. Budget exhaustion degrades to status "lower-bound".
     """
     clock = SearchClock(budget)
-    dm = distances(g)
     seed = None
     if initial_witness is not None:
         seed = vertex_set(initial_witness, g.n)
-        if not is_general_position(dm, seed):
+        if not is_general_position(distances(g), seed):
             raise InputError("initial_witness is not a general position set")
-    value, witness = _run_gp(g, dm, clock, seed)
+    value, witness = _run_gp(g, clock, seed)
     return GpResult(value, witness, clock.status, clock.nodes, clock.elapsed_ms(), "exact")
 
 

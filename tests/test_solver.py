@@ -3,7 +3,7 @@ import time
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from genpos import (
     Budget,
@@ -25,6 +25,8 @@ from genpos import (
     kneser,
     path,
 )
+from genpos.budget import SearchClock
+from genpos.solver import _conflict_masks
 
 import corpus
 import oracles
@@ -97,6 +99,51 @@ def test_empty_graph():
     assert res.value == 0 and res.witness == () and res.status == EXACT
 
 
+@pytest.mark.parametrize(
+    "g,value,nodes",
+    [
+        (kneser(7, 3), 15, 6569),
+        (cartesian_product(cycle(6), cycle(6)), 6, 8850),
+    ],
+)
+def test_node_counts_pinned(g, value, nodes):
+    # any change to the search tree (order, bound, masks) moves these counts
+    res = gp_exact(g)
+    assert (res.value, res.status, res.nodes_explored) == (value, EXACT, nodes)
+
+
+def test_deep_search_on_isolated_vertices():
+    # the search descends one level per chosen vertex: 1100 levels
+    res = gp_exact(edgeless(1100))
+    assert (res.value, res.status) == (1100, EXACT)
+    assert res.witness == tuple(range(1100))
+
+
+@pytest.mark.stretch
+def test_deep_search_on_large_clique():
+    res = gp_exact(complete(1100))
+    assert (res.value, res.status) == (1100, EXACT)
+
+
+# --- conflict masks -----------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=12))
+@example(edgeless(5))
+@example(disjoint_union(disjoint_union(path(4), complete(1)), cycle(5)))
+@example(disjoint_union(complete(3), complete(2)))
+def test_conflict_masks_match_definition(g):
+    # level-built masks against a triple scan of the distance matrix
+    d = distances(g).d
+    blocked = _conflict_masks(g.adjacency_bits(), SearchClock())
+    for a, b in itertools.permutations(range(g.n), 2):
+        want = sum(
+            1 << y for y in range(g.n) if y not in (a, b) and oracles.violating(d, a, b, y)
+        )
+        assert blocked[a][b] == want, (a, b)
+
+
 # --- budgets and warm starts -----------------------------------------------------
 
 
@@ -142,6 +189,27 @@ def test_determinism():
         b.status,
         b.method,
     )
+
+
+def test_deadline_check_counts_no_node():
+    clock = SearchClock(Budget(max_ms=0))
+    time.sleep(0.002)
+    assert clock.expired()
+    assert (clock.nodes, clock.status) == (0, LOWER_BOUND)
+    assert not clock.tick()
+    assert not SearchClock(Budget(max_nodes=0)).expired()
+
+
+def test_budget_covers_precompute():
+    # n = 1000: building every conflict mask takes seconds, far past max_ms
+    g = cartesian_product(cartesian_product(path(10), path(10)), path(10))
+    t0 = time.perf_counter()
+    res = gp_exact(g, Budget(max_ms=100))
+    wall_s = time.perf_counter() - t0
+    assert res.status == LOWER_BOUND
+    assert wall_s < 1.0
+    assert len(res.witness) == res.value
+    assert is_general_position(distances(g), res.witness)
 
 
 def test_elapsed_ms_covers_precompute():
