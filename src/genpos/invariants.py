@@ -16,11 +16,21 @@ proofs that rely on η. The two public names therefore run one search and
 share one predicate (:func:`is_cluster_set`); the test suite checks η = ρ
 against brute-force oracles written separately for each definition.
 
+Both searches have the loop shape of the gp search in :mod:`genpos.solver`:
+depth-first on an explicit stack, so Python's recursion limit does not bound
+their depth. An ω frame holds a coloured candidate set; a ρ frame holds the
+candidates not yet branched on. ρ keeps no component list: every candidate
+sees none of the chosen set S or exactly one of its cliques, so when x joins
+S a candidate dies if it sees just one of x and the clique x joins (``bx ^
+near``, with ``near`` the union of the neighbourhoods of x's neighbours in
+S) or, when x starts a clique, if it sees x and another clique (``bx &
+far``, with ``far`` the union over the rest of S).
+
 All searches are deterministic: vertices are branched in descending-degree
 order (ties by id) and the incumbent is replaced only on strict improvement,
-so for ``status="exact"`` the witness is reproducible. On budget exhaustion
-the best set found so far is returned with ``status="lower-bound"``; no
-search raises for running out of budget.
+so for ``status="exact"`` the witness is reproducible. When the budget runs
+out the loop ends and the best set found so far is returned with
+``status="lower-bound"``; no search raises for running out of budget.
 """
 
 from __future__ import annotations
@@ -39,10 +49,6 @@ class InvariantResult:
     witness: VertexSet
     nodes_explored: int
     status: str  # "exact" | "lower-bound"
-
-
-class _Exhausted(Exception):
-    """Internal: unwind the search when the clock runs out."""
 
 
 def _iter_bits(mask: int):
@@ -102,35 +108,40 @@ def _color_bound(P: int, bits: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _run_omega(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
-    if g.n == 0:
+    tick = clock.tick
+    if g.n == 0 or not tick():
         return 0, ()
     bits, order, _ = _degree_order(g)
     best_size = 0
     best_mask = 0
 
-    def expand(size: int, rmask: int, P: int) -> None:
-        nonlocal best_size, best_mask
-        if not clock.tick():
-            raise _Exhausted
-        verts, bound = _color_bound(P, bits)
-        local = P
-        for i in range(len(verts) - 1, -1, -1):
-            if size + bound[i] <= best_size:
-                return
-            v = verts[i]
-            vbit = 1 << v
-            child = local & bits[v]
-            if child:
-                expand(size + 1, rmask | vbit, child)
-            elif size + 1 > best_size:
-                best_size = size + 1
-                best_mask = rmask | vbit
-            local ^= vbit
-
-    try:
-        expand(0, 0, (1 << g.n) - 1)
-    except _Exhausted:
-        pass
+    # Depth-first search on an explicit stack, one frame per coloured
+    # candidate set P: [vertices in colour order, their colour bounds, count
+    # of vertices not yet branched on, P minus those done, size, members].
+    # Branching runs from the highest colour down; one tick per colouring.
+    P = (1 << g.n) - 1
+    verts, bound = _color_bound(P, bits)
+    stack = [[verts, bound, len(verts), P, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        verts, bound, i, P, size, members = frame
+        i -= 1
+        if i < 0 or size + bound[i] <= best_size:
+            stack.pop()
+            continue
+        v = verts[i]
+        vbit = 1 << v
+        frame[2] = i
+        frame[3] = P ^ vbit
+        child = P & bits[v]
+        if child:
+            if not tick():
+                break
+            verts, bound = _color_bound(child, bits)
+            stack.append([verts, bound, len(verts), child, size + 1, members | vbit])
+        elif size + 1 > best_size:
+            best_size = size + 1
+            best_mask = members | vbit
     return best_size, _to_original(best_mask, order)
 
 
@@ -179,45 +190,50 @@ def is_cluster_set(g: Graph, members) -> bool:
 
 def _run_cluster(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
     """Largest S with g[S] a disjoint union of cliques."""
-    if g.n == 0:
-        return 0, ()
     bits, order, _ = _degree_order(g)
     best_size = 0
     best_mask = 0
 
-    def expand(S: int, size: int, comps: list[int], C: int) -> None:
-        nonlocal best_size, best_mask
-        while C:
-            if not clock.tick():
-                raise _Exhausted
-            if size + C.bit_count() <= best_size:
-                return
-            xbit = C & -C
-            C ^= xbit
-            x = xbit.bit_length() - 1
-            grown = bits[x] & S
-            if grown == 0:
-                newcomps = comps + [xbit]
+    # The loop shape of solver._run_gp: stack[i] holds the candidates not yet
+    # branched on below chosen[:i], each of which sees none of chosen[:i] or
+    # exactly one of its cliques. len(chosen) never exceeds best_size.
+    tick = clock.tick
+    chosen: list[int] = []
+    smask = 0
+    stack = [(1 << g.n) - 1]
+    while stack:
+        C = stack[-1]
+        if C and not tick():
+            break
+        if len(chosen) + C.bit_count() <= best_size:
+            stack.pop()
+            if chosen:
+                smask ^= 1 << chosen.pop()
+            continue
+        xbit = C & -C
+        C ^= xbit
+        stack[-1] = C
+        x = xbit.bit_length() - 1
+        bx = bits[x]
+        near = far = 0
+        for s in chosen:
+            if bx >> s & 1:
+                near |= bits[s]
             else:
-                newcomps = [c | xbit if c == grown else c for c in comps]
-            newS = S | xbit
-            if size + 1 > best_size:
-                best_size = size + 1
-                best_mask = newS
-            # keep only later candidates still extendable: x joins S either
-            # as a fresh singleton or by completing exactly one clique
-            newC = 0
-            for y in _iter_bits(C):
-                m = bits[y] & newS
-                if m == 0 or m in newcomps:
-                    newC |= 1 << y
-            if newC:
-                expand(newS, size + 1, newcomps, newC)
-
-    try:
-        expand(0, 0, [], (1 << g.n) - 1)
-    except _Exhausted:
-        pass
+                far |= bits[s]
+        chosen.append(x)
+        smask |= xbit
+        if len(chosen) > best_size:
+            best_size = len(chosen)
+            best_mask = smask
+        # x joins the clique it sees, or starts a new one: a candidate must
+        # see x and that clique both or neither, or not see x and a clique
+        newC = C & ~(bx ^ near if near else bx & far)
+        if newC:
+            stack.append(newC)
+        else:
+            chosen.pop()
+            smask ^= xbit
     return best_size, _to_original(best_mask, order)
 
 

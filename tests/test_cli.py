@@ -217,6 +217,23 @@ def test_verify_timeout_exit_codes(runner):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--theorem", "thm3.1", "--budget-nodes", "0"],
+        ["--all", "--budget-nodes", "0"],
+        ["--all", "--budget-ms", "0.001"],
+    ],
+)
+def test_verify_exhausted_factor_search_exits_3(runner, args):
+    # factor searches that end with no witness leave nothing to warm-start from
+    res = runner.invoke(main, ["verify", *args])
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.exit_code == 3
+    assert "Traceback" not in res.output
+    assert "thm3.1" in res.output and ",timeout," in res.output
+
+
 def test_verify_mismatch_exits_1(runner, monkeypatch):
     # a real mismatch would disprove a theorem, so inject one to check the wiring
     bogus = TheoremReport("thm4.4", {"n": 4}, Prediction(True, value=3), None, "mismatch", 0.1)

@@ -9,6 +9,7 @@ from genpos import (
     LOWER_BOUND,
     Graph,
     alpha,
+    cartesian_product,
     complement,
     complete,
     corona,
@@ -138,14 +139,80 @@ def test_omega_budget_never_raises():
 
 def test_determinism():
     g = SAMPLE[5]
-    a = rho(g)
-    b = rho(g)
-    assert (a.value, a.witness, a.nodes_explored, a.status) == (
-        b.value,
-        b.witness,
-        b.nodes_explored,
-        b.status,
-    )
+    for fn in (omega, alpha, rho):
+        a = fn(g)
+        b = fn(g)
+        assert (a.value, a.witness, a.nodes_explored, a.status) == (
+            b.value,
+            b.witness,
+            b.nodes_explored,
+            b.status,
+        ), fn.__name__
+
+
+# --- pinned search trees -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fn,g,value,nodes",
+    [
+        (rho, kneser(7, 3), 20, 42895),
+        (rho, kneser(10, 2), 9, 5639),
+        (rho, line_graph(complete(8)), 7, 9418),
+        (alpha, kneser(8, 3), 21, 63),
+        (alpha, kneser(7, 3), 15, 121),
+        (omega, kneser(10, 2), 5, 162),
+    ],
+)
+def test_node_counts_pinned(fn, g, value, nodes):
+    # any change to the search tree (order, bound, candidate filter) moves these
+    res = fn(g)
+    assert (res.value, res.status, res.nodes_explored) == (value, EXACT, nodes)
+
+
+@pytest.mark.parametrize(
+    "fn,g,max_nodes,witness",
+    [
+        (rho, cartesian_product(cycle(6), cycle(6)), 10, (0, 1, 3, 4, 8, 11, 12, 13, 15, 16)),
+        (omega, kneser(8, 3), 5, (36, 55)),
+        (
+            alpha,
+            kneser(7, 3),
+            40,
+            (4, 8, 11, 13, 14, 18, 21, 23, 24, 27, 29, 30, 32, 33, 34),
+        ),
+    ],
+)
+def test_budgeted_incumbent_pinned(fn, g, max_nodes, witness):
+    # the incumbent held when the node budget runs out, not just its size
+    res = fn(g, Budget(max_nodes=max_nodes))
+    assert (res.witness, res.value) == (witness, len(witness))
+    assert (res.status, res.nodes_explored) == (LOWER_BOUND, max_nodes)
+
+
+# --- deep searches ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fn,g",
+    [(rho, edgeless(1100)), (eta, edgeless(1100)), (rho, complete(1100))],
+    ids=["rho-edgeless", "eta-edgeless", "rho-complete"],
+)
+def test_deep_cluster_search(fn, g):
+    # the search descends one level per chosen vertex: 1100 levels
+    res = fn(g)
+    assert (res.value, res.status) == (1100, EXACT)
+    assert res.witness == tuple(range(1100))
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize(
+    "fn,g", [(omega, complete(1100)), (alpha, edgeless(1100))], ids=["omega", "alpha"]
+)
+def test_deep_clique_search(fn, g):
+    res = fn(g)
+    assert (res.value, res.status) == (1100, EXACT)
+    assert res.witness == tuple(range(1100))
 
 
 def test_result_is_frozen():
