@@ -6,8 +6,11 @@ A solver that exhausts its budget returns its best incumbent with status
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+
+from .errors import InputError
 
 EXACT = "exact"
 LOWER_BOUND = "lower-bound"
@@ -19,6 +22,14 @@ class Budget:
 
     max_nodes: int | None = None
     max_ms: float | None = None
+
+    def __post_init__(self):
+        # a NaN deadline never passes and a negative node limit stops at once,
+        # so neither is a budget anyone meant
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise InputError(f"max_nodes must be >= 0, got {self.max_nodes}")
+        if self.max_ms is not None and math.isnan(self.max_ms):
+            raise InputError("max_ms must be a number, got NaN")
 
 
 class SearchClock:

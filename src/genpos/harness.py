@@ -2,7 +2,8 @@
 
 Each registered theorem id maps to a runner that builds the graph(s) for one
 grid point, evaluates the closed-form prediction, runs the solver, and
-returns both for comparison. Grids live in ``data/grids.json`` (a quick grid
+returns both for comparison, with the searches (ω, η, ρ, factor gp) the
+prediction was computed from. Grids live in ``data/grids.json`` (a quick grid
 and a stretch grid per theorem) so scripted runs and long runs share one
 manifest.
 
@@ -10,7 +11,9 @@ Verdicts: ``match`` (exact solve equals an exact prediction), ``within-bound``
 (value inside a predicted interval — sound even when the search timed out,
 because an incumbent is itself a valid lower bound), ``mismatch``,
 ``timeout`` (budget exhausted, nothing disproved), ``not-applicable``
-(formula silent at this point).
+(formula silent at this point). When any input search is unfinished, the
+prediction is only a lower bound: an exact value below it is a
+``mismatch``, anything else a ``timeout``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .budget import EXACT, Budget
 from .errors import InputError
 from .formulas import (
     Prediction,
-    cartesian_witness,
     ekr_bound,
     gp_cartesian_lower,
     gp_corona,
@@ -41,7 +43,7 @@ from .formulas import (
 )
 from .graph import Graph, diameter, is_connected
 from .invariants import alpha, eta, omega, rho
-from .solver import GpResult, gp_auto, gp_exact
+from .solver import GpResult, gp_auto
 
 MATCH = "match"
 WITHIN_BOUND = "within-bound"
@@ -101,31 +103,21 @@ def _is_complete(g: Graph) -> bool:
     return g.edge_count == g.n * (g.n - 1) // 2
 
 
-def _solve(g: Graph, budget: Budget | None, witness=None) -> tuple[GpResult, str]:
-    """gp_auto with a warm-start witness; a rejected witness is noted, not fatal."""
-    if witness is not None:
-        try:
-            return gp_auto(g, budget, initial_witness=witness), ""
-        except InputError as e:
-            return gp_auto(g, budget), f"constructive witness rejected: {e}"
-    return gp_auto(g, budget), ""
+# --- runners: params -> (prediction, computed, inputs) ----------------------
+# ``inputs`` are the searches the prediction was computed from.
 
-
-# --- runners: params -> (prediction, computed, verdict-override, note) ------
-
-_Run = tuple[Prediction, GpResult | None, str | None, str]
+_Run = tuple[Prediction, GpResult | None, tuple]
 
 
 def _closed_form(predict: Callable[[dict], Prediction], build: Callable[[dict], Graph]) -> Callable[..., _Run]:
-    """Runner for a closed form: solve the built graph, warm-started from the
-    predicted witness, unless the formula is silent at this point."""
+    """Runner for a closed form: solve the built graph unless the formula is
+    silent at this point."""
 
     def run(params: dict, budget: Budget | None) -> _Run:
         pred = predict(params)
         if not pred.applicable:
-            return pred, None, None, ""
-        computed, note = _solve(build(params), budget, pred.witness)
-        return pred, computed, None, note
+            return pred, None, ()
+        return pred, gp_auto(build(params), budget), ()
 
     return run
 
@@ -134,37 +126,21 @@ def _run_cartesian_lower(params: dict, budget: Budget | None) -> _Run:
     g = build_graph_spec(params["g"])
     h = build_graph_spec(params["h"])
     if not (is_connected(g) and is_connected(h)):
-        return Prediction(False, reason="factors must be connected"), None, None, ""
+        return Prediction(False, reason="factors must be connected"), None, ()
     rg = gp_auto(g, budget)
     rh = gp_auto(h, budget)
     pred = gp_cartesian_lower(rg.value, rh.value, g.n, h.n)
-    exact = rg.status == EXACT and rh.status == EXACT
-    notes = [] if exact else ["factor gp is a lower bound"]
-    witness = None
-    if rg.witness and rh.witness:
-        witness = cartesian_witness(g, rg.witness, h, rh.witness, rg.witness[0], rh.witness[0])
-    else:
-        notes.append("empty factor witness: no warm start")
-    computed, wnote = _solve(cons.cartesian_product(g, h), budget, witness)
-    # a bound from unfinished factor searches is weaker than the theorem's:
-    # falling below it still refutes, meeting it confirms nothing
-    override = None if exact or _verdict(pred, computed) == MISMATCH else TIMEOUT
-    return pred, computed, override, "; ".join(x for x in (*notes, wnote) if x)
+    return pred, gp_auto(cons.cartesian_product(g, h), budget), (rg, rh)
 
 
 def _run_diam2(params: dict, budget: Budget | None) -> _Run:
     g = build_graph_spec(params["g"])
     if diameter(g) != 2:
-        return Prediction(False, reason="diameter != 2"), None, None, ""
+        return Prediction(False, reason="diameter != 2"), None, ()
     w = omega(g, budget)
     e = eta(g, budget)
     pred = Prediction(True, value=max(w.value, e.value))
-    computed, note = _solve(g, budget)
-    override = None
-    if w.status != EXACT or e.status != EXACT:
-        override = TIMEOUT
-        note = "; ".join(x for x in (note, "invariant search hit budget") if x)
-    return pred, computed, override, note
+    return pred, gp_auto(g, budget), (w, e)
 
 
 def _run_join(params: dict, budget: Budget | None) -> _Run:
@@ -175,27 +151,17 @@ def _run_join(params: dict, budget: Budget | None) -> _Run:
     rg, rh = rho(g, budget), rho(h, budget)
     both = _is_complete(g) and _is_complete(h)
     pred = gp_join(wg.value, wh.value, rg.value, rh.value, rg.value, rh.value, both, g.n, h.n)
-    computed, note = _solve(cons.join(g, h), budget)
-    override = None
-    if any(x.status != EXACT for x in (wg, wh, rg, rh)):
-        override = TIMEOUT
-        note = "; ".join(x for x in (note, "invariant search hit budget") if x)
-    return pred, computed, override, note
+    return pred, gp_auto(cons.join(g, h), budget), (wg, wh, rg, rh)
 
 
 def _run_corona(params: dict, budget: Budget | None) -> _Run:
     g = build_graph_spec(params["g"])
     h = build_graph_spec(params["h"])
     rh = rho(h, budget)
-    pred = gp_corona(g.n, rh.value, n_h=h.n, rho_witness=rh.witness)
+    pred = gp_corona(g.n, rh.value)
     if not pred.applicable:
-        return pred, None, None, ""
-    computed, note = _solve(cons.corona(g, h), budget, pred.witness)
-    override = None
-    if rh.status != EXACT:
-        override = TIMEOUT
-        note = "; ".join(x for x in (note, "rho(H) search hit budget") if x)
-    return pred, computed, override, note
+        return pred, None, ()
+    return pred, gp_auto(cons.corona(g, h), budget), (rh,)
 
 
 def _run_ekr(params: dict, budget: Budget | None) -> _Run:
@@ -203,13 +169,13 @@ def _run_ekr(params: dict, budget: Budget | None) -> _Run:
     try:
         pred = Prediction(True, value=ekr_bound(n, k))
     except InputError as e:
-        return Prediction(False, reason=str(e)), None, None, ""
+        return Prediction(False, reason=str(e)), None, ()
     t0 = time.monotonic()
     a = alpha(cons.kneser(n, k), budget)
     computed = GpResult(
         a.value, a.witness, a.status, a.nodes_explored, (time.monotonic() - t0) * 1000.0, "alpha"
     )
-    return pred, computed, None, ""
+    return pred, computed, ()
 
 
 _REGISTRY: dict[str, Callable[[dict, Budget | None], _Run]] = {
@@ -242,11 +208,15 @@ def default_grid(theorem_id: str, stretch: bool = False) -> list[dict]:
     return grids[theorem_id]["stretch" if stretch else "quick"]
 
 
-def _verdict(pred: Prediction, computed: GpResult | None) -> str:
+def _verdict(pred: Prediction, computed: GpResult | None, unfinished_inputs: bool) -> str:
     if not pred.applicable:
         return NOT_APPLICABLE
     if computed is None:
         return TIMEOUT
+    if unfinished_inputs:
+        # inputs from unfinished searches only bound the prediction from
+        # below: falling below it still refutes, meeting it confirms nothing
+        return MISMATCH if computed.status == EXACT and computed.value < pred.interval[0] else TIMEOUT
     if pred.value is not None:
         if computed.status == EXACT:
             return MATCH if computed.value == pred.value else MISMATCH
@@ -273,11 +243,13 @@ def run_verify(
     for params in param_grid:
         t0 = time.monotonic()
         try:
-            pred, computed, override, note = runner(params, budget)
+            pred, computed, inputs = runner(params, budget)
         except (KeyError, TypeError) as e:
             raise InputError(f"malformed grid point {params!r} for {theorem_id}: {e}") from None
         elapsed = (time.monotonic() - t0) * 1000.0
-        verdict = override if override is not None else _verdict(pred, computed)
+        unfinished = any(r.status != EXACT for r in inputs)
+        verdict = _verdict(pred, computed, unfinished)
+        note = "prediction is a lower bound: an input search hit the budget" if unfinished else ""
         reports.append(TheoremReport(theorem_id, params, pred, computed, verdict, elapsed, note))
     return reports
 

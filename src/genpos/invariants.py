@@ -58,12 +58,11 @@ def _iter_bits(mask: int):
         mask ^= b
 
 
-def _degree_order(g: Graph) -> tuple[list[int], list[int], list[int]]:
+def _degree_order(g: Graph) -> tuple[list[int], list[int]]:
     """Relabel by descending degree (ties by id).
 
-    Returns (bits, order, pos) where order[i] is the original id of internal
-    vertex i, pos is its inverse, and bits is the internal-id adjacency
-    bitmask list.
+    Returns (bits, order) where order[i] is the original id of internal
+    vertex i and bits is the internal-id adjacency bitmask list.
     """
     order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
     pos = [0] * g.n
@@ -75,7 +74,7 @@ def _degree_order(g: Graph) -> tuple[list[int], list[int], list[int]]:
         for u in g.adj[v]:
             m |= 1 << pos[u]
         bits[pos[v]] = m
-    return bits, order, pos
+    return bits, order
 
 
 def _to_original(mask: int, order: list[int]) -> VertexSet:
@@ -111,7 +110,7 @@ def _run_omega(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
     tick = clock.tick
     if g.n == 0 or not tick():
         return 0, ()
-    bits, order, _ = _degree_order(g)
+    bits, order = _degree_order(g)
     best_size = 0
     best_mask = 0
 
@@ -190,7 +189,7 @@ def is_cluster_set(g: Graph, members) -> bool:
 
 def _run_cluster(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
     """Largest S with g[S] a disjoint union of cliques."""
-    bits, order, _ = _degree_order(g)
+    bits, order = _degree_order(g)
     best_size = 0
     best_mask = 0
 

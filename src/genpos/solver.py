@@ -31,8 +31,8 @@ no L_a[k], so pairs at infinite distance keep mask 0 and no mask holds a
 vertex of another component: the infinity rule above. The whole precompute
 is O(n^2 * diam) big-int operations. Both passes check the deadline once per
 source vertex, so a ``max_ms`` budget covers precompute as well as search;
-when it runs out before the search starts, the result is the initial
-witness (or the empty set) with status "lower-bound".
+when it runs out before the search starts, the result is the empty set with
+status "lower-bound".
 
 The search runs on an explicit stack, so its depth is not bounded by
 Python's recursion limit. The candidate set shrinks by O(|S|) mask
@@ -60,7 +60,6 @@ from .graph import (
     DistanceMatrix,
     Graph,
     VertexSet,
-    distances,
     is_connected,
     vertex_set,
 )
@@ -236,18 +235,15 @@ def _conflict_masks(bits: list[int], clock: SearchClock) -> list[list[int]] | No
     return blocked
 
 
-def _run_gp(g: Graph, clock: SearchClock, seed: VertexSet | None) -> tuple[int, VertexSet]:
+def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
     n = g.n
     if n == 0:
         return 0, ()
-    bits, order, pos = _degree_order(g)
-    best_mask = 0
-    for v in seed or ():
-        best_mask |= 1 << pos[v]
-    best_size = best_mask.bit_count()
+    bits, order = _degree_order(g)
     blocked = _conflict_masks(bits, clock)
     if blocked is None:
-        return best_size, _to_original(best_mask, order)
+        return 0, ()
+    best_mask = best_size = 0
 
     # Depth-first search on an explicit stack: stack[i] holds the candidates
     # not yet branched on below chosen[:i], each of which keeps chosen[:i]
@@ -288,20 +284,13 @@ def _run_gp(g: Graph, clock: SearchClock, seed: VertexSet | None) -> tuple[int, 
     return best_size, _to_original(best_mask, order)
 
 
-def gp_exact(g: Graph, budget: Budget | None = None, initial_witness=None) -> GpResult:
+def gp_exact(g: Graph, budget: Budget | None = None) -> GpResult:
     """Maximum general position set by branch and bound.
 
-    ``initial_witness`` warm-starts the incumbent (useful when a
-    construction supplies a large known set); it must itself be in general
-    position. Budget exhaustion degrades to status "lower-bound".
+    Budget exhaustion degrades to status "lower-bound".
     """
     clock = SearchClock(budget)
-    seed = None
-    if initial_witness is not None:
-        seed = vertex_set(initial_witness, g.n)
-        if not is_general_position(distances(g), seed):
-            raise InputError("initial_witness is not a general position set")
-    value, witness = _run_gp(g, clock, seed)
+    value, witness = _run_gp(g, clock)
     return GpResult(value, witness, clock.status, clock.nodes, clock.elapsed_ms(), "exact")
 
 

@@ -87,6 +87,20 @@ def test_gp_bad_env_budget_exits_2(runner, petersen_file):
     assert "GP_BUDGET_MS" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["--budget-ms", "nan"], {}),
+        ([], {"GP_BUDGET_MS": "nan"}),
+        (["--budget-nodes", "-5"], {}),
+    ],
+)
+def test_gp_budget_that_disables_itself_exits_2(runner, petersen_file, args, env):
+    res = runner.invoke(main, ["gp", "--graph", petersen_file, *args], env=env)
+    assert res.exit_code == 2
+    assert "error:" in res.stderr
+
+
 def test_invariant_rho(runner, petersen_file):
     res = runner.invoke(main, ["invariant", "--which", "rho", "--graph", petersen_file])
     assert res.exit_code == 0
@@ -208,7 +222,7 @@ def test_verify_all_and_theorem_conflict(runner):
 
 
 def test_verify_timeout_exit_codes(runner):
-    # one search node: every point times out holding the seeded incumbent
+    # one search node: no stretch point can finish, so every one times out
     args = ["verify", "--theorem", "thm2.4", "--stretch", "--budget-nodes", "1", "--budget-ms", "0"]
     res = runner.invoke(main, args)
     assert res.exit_code == 3
@@ -226,7 +240,8 @@ def test_verify_timeout_exit_codes(runner):
     ],
 )
 def test_verify_exhausted_factor_search_exits_3(runner, args):
-    # factor searches that end with no witness leave nothing to warm-start from
+    # factor searches that end with no witness must still give a timeout,
+    # not a crash
     res = runner.invoke(main, ["verify", *args])
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert res.exit_code == 3

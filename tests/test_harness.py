@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import genpos.harness
 from genpos import (
     Budget,
     InputError,
+    InvariantResult,
     TheoremReport,
     build_graph_spec,
     default_grid,
@@ -94,12 +96,24 @@ def test_not_applicable_point():
 
 
 def test_timeout_verdict_not_mismatch():
-    # one node of budget: the star seed equals the prediction, so the verdict
-    # must be timeout, never mismatch
-    reports = run_verify("thm2.4", [{"n": 7}], budget=Budget(max_nodes=1))
+    # 100 nodes: the incumbent already equals the prediction but the search
+    # is unfinished, so the verdict must be timeout, never mismatch
+    reports = run_verify("thm2.4", [{"n": 7}], budget=Budget(max_nodes=100))
     assert reports[0].verdict == "timeout"
     assert reports[0].computed.status == "lower-bound"
     assert reports[0].computed.value == 15
+
+
+@pytest.mark.parametrize("eta_value, verdict", [(7, "mismatch"), (3, "timeout")])
+def test_unfinished_input_makes_prediction_a_lower_bound(monkeypatch, eta_value, verdict):
+    # gp(K(5,2)) = 6 exactly. With η from an unfinished search the prediction
+    # max{ω, η} only bounds gp from below: 7 > 6 refutes it, 3 <= 6 does not
+    fake = InvariantResult(eta_value, tuple(range(eta_value)), 1, "lower-bound")
+    monkeypatch.setattr(genpos.harness, "eta", lambda g, budget=None: fake)
+    (r,) = run_verify("thm4.1", [{"g": {"family": "kneser", "args": [5, 2]}}])
+    assert (r.computed.value, r.computed.status) == (6, "exact")
+    assert r.verdict == verdict
+    assert "lower bound" in r.note
 
 
 def test_interval_within_bound_even_under_budget():

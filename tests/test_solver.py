@@ -1,5 +1,6 @@
 import itertools
 import time
+from math import comb
 
 import hypothesis.strategies as st
 import pytest
@@ -144,7 +145,7 @@ def test_conflict_masks_match_definition(g):
         assert blocked[a][b] == want, (a, b)
 
 
-# --- budgets and warm starts -----------------------------------------------------
+# --- budgets ------------------------------------------------------------------
 
 
 def test_budget_exhaustion_gives_valid_lower_bound():
@@ -156,27 +157,22 @@ def test_budget_exhaustion_gives_valid_lower_bound():
     assert res.value <= 6  # true gp, frozen from enumeration
 
 
-def test_initial_witness_respected():
-    g = kneser(5, 2)
-    full = gp_exact(g)
-    warm = gp_exact(g, initial_witness=full.witness)
-    assert warm.value == full.value
-    assert warm.status == EXACT
+@pytest.mark.parametrize(
+    "n, k, want",
+    [(n, 3, comb(n - 1, 2)) for n in range(7, 12)] + [(n, 2, n - 1) for n in range(7, 11)],
+)
+def test_kneser_star_size_reached_early(n, k, want):
+    # the search finds a set as large as the star within 50 nodes, so seeding
+    # it with the star would save it almost nothing
+    assert gp_exact(kneser(n, k), Budget(max_nodes=50)).value == want
 
 
-def test_initial_witness_validated():
+@pytest.mark.parametrize(
+    "kwargs", [{"max_ms": float("nan")}, {"max_nodes": -5}, {"max_nodes": -1, "max_ms": 10.0}]
+)
+def test_budget_rejects_limits_that_disable_themselves(kwargs):
     with pytest.raises(InputError):
-        gp_exact(cycle(4), initial_witness=(0, 1, 2))
-    with pytest.raises(InputError):
-        gp_exact(cycle(4), initial_witness=(0, 9))
-
-
-def test_warm_start_floors_the_incumbent():
-    # with a tiny budget the incumbent can never drop below the seed
-    g = kneser(5, 2)
-    seed = (0, 1, 2, 4, 5, 7)
-    res = gp_exact(g, Budget(max_nodes=1), initial_witness=seed)
-    assert res.value >= 6
+        Budget(**kwargs)
 
 
 def test_determinism():
