@@ -14,6 +14,14 @@ built from vertex ids are reproducible across runs:
   endpoint; labels look like ``"{u,v}"``.
 
 Constructors validate their inputs but never relabel or canonicalize them.
+
+Some constructors also attach the symmetry they know as a
+:class:`~genpos.graph.GroundAction`: ``complete`` and ``edgeless`` (Sym(n)
+on the vertices), ``kneser`` (Sym(n) on {1..n}), ``line_graph`` of a
+complete graph that carries its action (Sym(n) on the ends of the edges),
+and ``cartesian_product``, which concatenates its factors' coordinates and
+turns an action-free factor into one rigid coordinate. A product whose
+coordinates are all rigid, and every other graph, has no action.
 """
 
 from __future__ import annotations
@@ -22,21 +30,35 @@ from itertools import combinations
 from math import comb
 
 from .errors import InputError
-from .graph import Graph
+from .graph import Graph, GroundAction
+
+
+def _symmetric(size: int, masks) -> GroundAction:
+    """Sym(size) acting on one coordinate whose vertices are ``masks``."""
+    return GroundAction((size,), (True,), tuple((m,) for m in masks))
+
+
+def _coordinates(g: Graph) -> GroundAction:
+    """g's action, or one rigid coordinate naming g's vertices."""
+    if g.action is not None:
+        return g.action
+    return GroundAction((g.n,), (False,), tuple((1 << a,) for a in range(g.n)))
 
 
 def complete(n: int) -> Graph:
     """K_n."""
     if n < 1:
         raise InputError(f"complete(n) needs n >= 1, got {n}")
-    return Graph.from_edges(n, combinations(range(n), 2))
+    return Graph.from_edges(
+        n, combinations(range(n), 2), action=_symmetric(n, (1 << v for v in range(n)))
+    )
 
 
 def edgeless(n: int) -> Graph:
     """The empty graph on n vertices."""
     if n < 1:
         raise InputError(f"edgeless(n) needs n >= 1, got {n}")
-    return Graph.from_edges(n, [])
+    return Graph.from_edges(n, [], action=_symmetric(n, (1 << v for v in range(n))))
 
 
 def path(n: int) -> Graph:
@@ -88,7 +110,8 @@ def kneser(n: int, k: int) -> Graph:
         if sets[i].isdisjoint(sets[j])
     ]
     labels = ["{" + ",".join(map(str, v)) + "}" for v in verts]
-    return Graph.from_edges(len(verts), edges, labels)
+    action = _symmetric(n, (sum(1 << (e - 1) for e in v) for v in verts))
+    return Graph.from_edges(len(verts), edges, labels, action)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -102,7 +125,12 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
         for b in range(nh):
             edges.append((a * nh + b, a2 * nh + b))
     labels = [f"({a},{b})" for a in range(g.n) for b in range(nh)]
-    return Graph.from_edges(g.n * nh, edges, labels)
+    ag, ah = _coordinates(g), _coordinates(h)
+    action = None
+    if any(ag.symmetric + ah.symmetric):
+        points = tuple(pa + pb for pa in ag.points for pb in ah.points)
+        action = GroundAction(ag.sizes + ah.sizes, ag.symmetric + ah.symmetric, points)
+    return Graph.from_edges(g.n * nh, edges, labels, action)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -147,4 +175,8 @@ def line_graph(g: Graph) -> Graph:
         if a == c or a == d or b == c or b == d:
             edges.append((i, j))
     labels = ["{" + f"{u},{v}" + "}" for u, v in edge_list]
-    return Graph.from_edges(m, edges, labels)
+    a = g.action
+    action = None
+    if a is not None and a.symmetric == (True,) and m == g.n * (g.n - 1) // 2:
+        action = _symmetric(a.sizes[0], (a.points[u][0] | a.points[v][0] for u, v in edge_list))
+    return Graph.from_edges(m, edges, labels, action)

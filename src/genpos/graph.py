@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -38,17 +38,39 @@ def vertex_set(members: Iterable[int], n: int | None = None) -> VertexSet:
 
 
 @dataclass(frozen=True, slots=True)
+class GroundAction:
+    """A group acting on a graph through ground sets, one per coordinate.
+
+    ``points[v][c]`` is the bitmask over coordinate c's ground set
+    ``{0..sizes[c]-1}`` that vertex v stands for: the k-subset of a Kneser
+    vertex, the two ends of an edge of K_n in L(K_n), the one vertex of a
+    factor in a Cartesian product. Where ``symmetric[c]`` holds, Sym(sizes[c])
+    permutes coordinate c's ground set; a rigid coordinate is never moved.
+    The claim that these permutations are automorphisms is checked by the
+    solver before it relies on it.
+    """
+
+    sizes: tuple[int, ...]
+    symmetric: tuple[bool, ...]
+    points: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable simple undirected graph with O(1) adjacency membership.
 
     ``adj[v]`` is the neighbor set of ``v``. ``labels``, when present, gives
     one opaque string per vertex (for example the k-subset a Kneser vertex
     stands for); labels take no part in adjacency or distance computations.
+    ``action``, when present, is a symmetry the constructor knows (see
+    :class:`GroundAction`); it takes no part in equality, and every graph
+    built otherwise, including every graph read from a file, has none.
     """
 
     n: int
     adj: tuple[frozenset[int], ...]
     labels: tuple[str, ...] | None = None
+    action: GroundAction | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -72,6 +94,7 @@ class Graph:
         n: int,
         edges: Iterable[tuple[int, int]],
         labels: Sequence[str] | None = None,
+        action: GroundAction | None = None,
     ) -> "Graph":
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
@@ -85,6 +108,7 @@ class Graph:
             n,
             tuple(frozenset(s) for s in nbrs),
             None if labels is None else tuple(labels),
+            action,
         )
 
     def neighbors(self, v: int) -> frozenset[int]:

@@ -42,6 +42,42 @@ lossless). Branching follows descending degree (ties by id) and the
 incumbent is replaced only on strict improvement, so exact results are
 deterministic.
 
+Orbit pruning. A graph built by a constructor may carry a ground-set action
+(:class:`~genpos.graph.GroundAction`): each vertex is a tuple of ground-set
+bitmasks, and Sym(ground) acts on every symmetric coordinate (Sym(n) on the
+k-subsets of {1..n} in K(n,k) and on the edges of K_n in L(K_n), Sym(q_i) on
+coordinate i of K_q1 □ ... □ K_qd).
+Before it uses one, the search checks inside its clock that a transposition
+and a full cycle of each symmetric coordinate's ground set, which generate
+its symmetric group, map vertices bijectively onto vertices and edges onto
+edges, in O(n + m) each; a failed check raises InputError. Graphs without an
+action, including every graph read from a file, run the plain search.
+
+The pointwise stabilizer Stab(S) of the chosen vertices permutes each cell
+of the ground sets freely, where a cell is a class of ground elements that
+lie in the same members of S. Each frame refines its parent's cells by the
+new vertex's masks, and a frame whose cells are all singletons (and every
+frame below it) has a stabilizer that moves nothing. Vertex z is in x's
+orbit under Stab(S) when it agrees with x on the rigid coordinates and
+|z_c & A| = |x_c & A| for every cell A of every symmetric coordinate c. The
+orbit is computed as one bitmask: with M[c][e] the vertices whose coordinate
+c holds e, a bit-sliced ripple-carry count of M[c][e] over e in A is
+compared with |x_c & A|, and the results are ANDed over the cells.
+
+When the branch on x below S is done, x's whole orbit under Stab(S) leaves
+that frame's candidates; its members stay available inside x's own subtree.
+This is sound because every frame's excluded set X (the vertices that are
+neither chosen nor candidates) is a union of Stab(S)-orbits: at the root it
+is empty; a child inherits its parent's X, a union of orbits of a larger
+group and so of every deeper stabilizer, plus the vertices that conflict
+with the new choice, a set that Stab(S + x) keeps; and a frame only ever
+adds whole orbits. So for any general position set T that contains S and a
+member y of x's orbit and avoids X, the image of T under a stabilizer
+element taking y to x contains S and x and avoids X: it lies in x's
+subtree, which has already been searched. By the same argument, pruning
+never removes the first maximum set in search order, so value, witness and
+status are those of the plain search; only the node count falls.
+
 Disconnected inputs are handled by the same definition under the infinity
 semantics above — no component decomposition is attempted. This reproduces
 e.g. gp(3K_2) = 6: within a component only clique triples survive, and cross
@@ -59,11 +95,12 @@ from .graph import (
     INFINITY,
     DistanceMatrix,
     Graph,
+    GroundAction,
     VertexSet,
     is_connected,
     vertex_set,
 )
-from .invariants import _degree_order, _to_original
+from .invariants import _degree_order, _iter_bits, _to_original
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,11 +272,154 @@ def _conflict_masks(bits: list[int], clock: SearchClock) -> list[list[int]] | No
     return blocked
 
 
+def _generators(size: int):
+    """The transposition (0 1) and the cycle e -> e + 1 of {0..size-1},
+    acting on bitmasks; together they generate Sym(size)."""
+    full = (1 << size) - 1
+
+    def swap(m: int) -> int:
+        return m ^ 3 if (m ^ m >> 1) & 1 else m
+
+    def turn(m: int) -> int:
+        return (m << 1 & full) | m >> (size - 1)
+
+    return swap, turn
+
+
+def _check_action(g: Graph, clock: SearchClock) -> bool:
+    """Raise InputError unless g.action acts by automorphisms; False once the
+    deadline passes (checked once per generator, counting no node).
+
+    Per symmetric coordinate, each of :func:`_generators` must map every
+    vertex's point to a vertex's point and every edge to an edge; a
+    bijection of the vertices that keeps edges is an automorphism.
+    """
+    a = g.action
+    d = len(a.sizes)
+    if len(a.symmetric) != d or len(a.points) != g.n:
+        raise InputError(f"ground action has {len(a.points)} points for n={g.n}")
+    for v, p in enumerate(a.points):
+        if len(p) != d or any(not 0 <= m < 1 << size for m, size in zip(p, a.sizes)):
+            raise InputError(f"ground action: vertex {v} has point {p!r} outside ground sets {a.sizes}")
+    index = {p: v for v, p in enumerate(a.points)}
+    if len(index) != g.n:
+        raise InputError("ground action: two vertices share one point")
+    for c, size in enumerate(a.sizes):
+        if not a.symmetric[c] or size < 2:
+            continue
+        for move in _generators(size):
+            if clock.expired():
+                return False
+            image = []
+            for v, p in enumerate(a.points):
+                w = index.get(p[:c] + (move(p[c]),) + p[c + 1 :])
+                if w is None:
+                    raise InputError(f"ground action: permuting coordinate {c} maps vertex {v} to no vertex")
+                image.append(w)
+            for v, nbrs in enumerate(g.adj):
+                into = g.adj[image[v]]
+                for u in nbrs:
+                    if image[u] not in into:
+                        raise InputError(
+                            f"ground action: permuting coordinate {c} maps edge {v}-{u} to a non-edge"
+                        )
+    return True
+
+
+def _orbit_tables(a: GroundAction, order: list[int]):
+    """The action in internal ids: (xs, M, same, root, ground).
+
+    xs[i] holds internal vertex i's masks on the symmetric coordinates;
+    M[c][e] is the bitmask of the vertices whose c-th symmetric mask holds
+    ground element e; same[i] is the bitmask of the vertices that agree with
+    i on every rigid coordinate. root is the root frame's cells (one per
+    symmetric coordinate: its whole ground set), None when no cell can split,
+    and ground the number of cells once every cell is a singleton.
+    """
+    sym = [c for c, s in enumerate(a.symmetric) if s]
+    rigid = [c for c, s in enumerate(a.symmetric) if not s]
+    pts = [a.points[v] for v in order]
+    xs = [tuple(p[c] for c in sym) for p in pts]
+    M = [[0] * a.sizes[c] for c in sym]
+    for i, xi in enumerate(xs):
+        for Mc, m in zip(M, xi):
+            for e in _iter_bits(m):
+                Mc[e] |= 1 << i
+    classes: dict[tuple, int] = {}
+    keys = [tuple(p[c] for c in rigid) for p in pts]
+    for i, key in enumerate(keys):
+        classes[key] = classes.get(key, 0) | 1 << i
+    same = [classes[key] for key in keys]
+    root = [[(1 << a.sizes[c]) - 1] if a.sizes[c] else [] for c in sym]
+    ground = sum(a.sizes[c] for c in sym)
+    if ground == sum(map(len, root)):
+        root = None
+    return xs, M, same, root, ground
+
+
+def _refine(cells: list[list[int]], xm: tuple[int, ...], ground: int) -> list[list[int]] | None:
+    """Split every cell by the new vertex's masks; None once all are singletons."""
+    out = []
+    count = 0
+    for row, m in zip(cells, xm):
+        new = []
+        for cell in row:
+            inside = cell & m
+            if inside and inside != cell:
+                new.append(inside)
+                new.append(cell ^ inside)
+            else:
+                new.append(cell)
+        count += len(new)
+        out.append(new)
+    return None if count == ground else out
+
+
+def _orbit(C: int, xm: tuple[int, ...], cells: list[list[int]], M: list[list[int]]) -> int:
+    """The members of C in x's orbit under Stab(S), for S with these cells:
+    the z with |z_c & A| == |x_c & A| for every cell A. C already holds only
+    vertices that agree with x on the rigid coordinates."""
+    for row, xc, Mc in zip(cells, xm, M):
+        for A in row:
+            if not C:
+                return 0
+            k = (A & xc).bit_count()
+            if not k:
+                for e in _iter_bits(A):
+                    C &= ~Mc[e]
+            elif k == A.bit_count():
+                for e in _iter_bits(A):
+                    C &= Mc[e]
+            else:
+                # bit-sliced ripple-carry count of the Mc[e] over e in A
+                slices: list[int] = []
+                for e in _iter_bits(A):
+                    carry = Mc[e]
+                    for j, sl in enumerate(slices):
+                        slices[j] = sl ^ carry
+                        carry &= sl
+                        if not carry:
+                            break
+                    if carry:
+                        slices.append(carry)
+                if k >> len(slices):
+                    return 0
+                for j, sl in enumerate(slices):
+                    C &= sl if k >> j & 1 else ~sl
+    return C
+
+
 def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
     n = g.n
     if n == 0:
         return 0, ()
     bits, order = _degree_order(g)
+    xs = M = same = root = None
+    ground = 0
+    if g.action is not None:
+        if not _check_action(g, clock):
+            return 0, ()
+        xs, M, same, root, ground = _orbit_tables(g.action, order)
     blocked = _conflict_masks(bits, clock)
     if blocked is None:
         return 0, ()
@@ -247,11 +427,17 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
 
     # Depth-first search on an explicit stack: stack[i] holds the candidates
     # not yet branched on below chosen[:i], each of which keeps chosen[:i]
-    # plus itself in general position. len(chosen) never exceeds best_size.
+    # plus itself in general position. cells[i] holds the cells of the
+    # ground sets that Stab(chosen[:i]) permutes; a frame deeper than
+    # len(cells) - 1 has a stabilizer that moves nothing, and so do all
+    # frames below it. When the branch on x below chosen[:i] is done, x's
+    # whole orbit under that stabilizer leaves stack[i]. len(chosen) never
+    # exceeds best_size.
     tick = clock.tick
     chosen: list[int] = []
     smask = 0
     stack = [(1 << n) - 1]
+    cells = [] if root is None else [root]
     while stack:
         C = stack[-1]
         if C and not tick():
@@ -260,7 +446,14 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
             # frame done: undo the choice that opened it
             stack.pop()
             if chosen:
-                smask ^= 1 << chosen.pop()
+                x = chosen.pop()
+                smask ^= 1 << x
+                if cells:
+                    if len(chosen) + 1 < len(cells):
+                        cells.pop()
+                    C = stack[-1]
+                    if len(chosen) < len(cells) and len(chosen) + C.bit_count() > best_size:
+                        stack[-1] = C & ~_orbit(C & same[x], xs[x], cells[-1], M)
             continue
         xbit = C & -C
         C ^= xbit
@@ -278,9 +471,15 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
         newC = C & ~kill
         if newC:
             stack.append(newC)
+            if cells and len(chosen) == len(cells):
+                sub = _refine(cells[-1], xs[x], ground)
+                if sub is not None:
+                    cells.append(sub)
         else:
             chosen.pop()
             smask ^= xbit
+            if cells and len(chosen) < len(cells) and len(chosen) + C.bit_count() > best_size:
+                stack[-1] = C & ~_orbit(C & same[x], xs[x], cells[-1], M)
     return best_size, _to_original(best_mask, order)
 
 

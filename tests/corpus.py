@@ -90,3 +90,51 @@ def named_small(max_n=7):
         "L(C6)": line_graph(cycle(6)),
     }
     return [(name, g) for name, g in builds.items() if g.n <= max_n]
+
+
+def hamming(*ns):
+    """K_n1 □ ... □ K_nd."""
+    g = complete(ns[0])
+    for n in ns[1:]:
+        g = cartesian_product(g, complete(n))
+    return g
+
+
+def action_free(g):
+    """The same graph without its ground-set action: the search on it is unpruned."""
+    return Graph(g.n, g.adj, g.labels)
+
+
+def symmetric_named():
+    """Constructor-built graphs that carry a ground-set action, so that the
+    gp search prunes orbits on them; every family the pruning handles."""
+    builds = {
+        "K1": complete(1),
+        "K5": complete(5),
+        "E4": edgeless(4),
+        "K(4,2)": kneser(4, 2),  # 3K_2, disconnected
+        "K(5,2)": kneser(5, 2),
+        "K(6,2)": kneser(6, 2),
+        "K(7,2)": kneser(7, 2),
+        "K(6,3)": kneser(6, 3),
+        "K(7,3)": kneser(7, 3),
+        "K(5,1)": kneser(5, 1),
+        "L(K3)": line_graph(complete(3)),
+        "L(K5)": line_graph(complete(5)),
+        "L(K6)": line_graph(complete(6)),
+        "L(K7)": line_graph(complete(7)),
+        "K2xK3": hamming(2, 3),
+        "K3xK3": hamming(3, 3),
+        "K3xK4": hamming(3, 4),
+        "K4xK4": hamming(4, 4),
+        "K5xK5": hamming(5, 5),
+        "K2xK2xK3": hamming(2, 2, 3),
+        "Q4": hamming(2, 2, 2, 2),
+        "K3xC4": cartesian_product(complete(3), cycle(4)),  # one rigid coordinate
+        "P3xK3": cartesian_product(path(3), complete(3)),
+        "K2xC5": cartesian_product(complete(2), cycle(5)),
+        "E2xP3": cartesian_product(edgeless(2), path(3)),  # disconnected
+        "K(5,2)xK2": cartesian_product(kneser(5, 2), complete(2)),
+        "L(K4)xK2": cartesian_product(line_graph(complete(4)), complete(2)),
+    }
+    return list(builds.items())

@@ -4,6 +4,9 @@ Everything here works from a plain ``(n, edges)`` pair with its own data
 structures: Floyd-Warshall instead of BFS, subset enumeration instead of
 branch and bound, definitional triple scans instead of precomputed
 conflict masks. Slow on purpose; disagreement with genpos means a bug.
+The one exception is ``gp_ilp``, which takes distance rows from its caller:
+the tests pass ``genpos.distances``, the float BFS that the gp search does
+not use, and it needs scipy.
 """
 
 import itertools
@@ -155,3 +158,34 @@ def eta_enum(n, edges):
             ):
                 return r
     return 0
+
+
+def gp_ilp(d):
+    """Exact gp as a 0-1 integer program over the distance rows ``d``.
+
+    Maximise the sum of x subject to x_a + x_b + x_c <= 2 for every collinear
+    triple {a, b, c}, solved by ``scipy.optimize.milp`` (HiGHS). Returns
+    (value, witness). The triples come from a definitional scan of ``d``,
+    not from any conflict mask.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
+
+    n = len(d)
+    if n == 0:
+        return 0, ()
+    triples = [t for t in itertools.combinations(range(n), 3) if violating(d, *t)]
+    constraints = []
+    if triples:
+        cols = np.array(triples).ravel()
+        rows = np.repeat(np.arange(len(triples)), 3)
+        a = csr_array((np.ones(len(cols)), (rows, cols)), shape=(len(triples), n))
+        constraints = [LinearConstraint(a, -np.inf, 2)]
+    res = milp(-np.ones(n), constraints=constraints, integrality=np.ones(n), bounds=Bounds(0, 1))
+    if not res.success:
+        raise RuntimeError(f"milp failed: {res.message}")
+    witness = tuple(int(i) for i in np.flatnonzero(np.round(res.x)))
+    if len(witness) != round(-res.fun):
+        raise RuntimeError(f"milp solution {witness} does not match objective {-res.fun}")
+    return len(witness), witness

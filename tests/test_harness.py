@@ -41,7 +41,7 @@ def test_manifest_covers_every_theorem():
         assert isinstance(entry["quick"], list) and entry["quick"]
         assert isinstance(entry["stretch"], list) and entry["stretch"]
     assert default_grid("thm4.4") == [{"n": n} for n in range(3, 8)]
-    assert default_grid("thm2.4", stretch=True) == [{"n": 7}, {"n": 8}]
+    assert default_grid("thm2.4", stretch=True) == [{"n": n} for n in range(7, 13)]
 
 
 def test_build_graph_spec_recursive():

@@ -24,6 +24,7 @@ from genpos import (
     is_general_position,
     join,
     kneser,
+    line_graph,
     path,
 )
 from genpos.budget import SearchClock
@@ -103,7 +104,7 @@ def test_empty_graph():
 @pytest.mark.parametrize(
     "g,value,nodes",
     [
-        (kneser(7, 3), 15, 6569),
+        (corpus.action_free(kneser(7, 3)), 15, 6569),
         (cartesian_product(cycle(6), cycle(6)), 6, 8850),
     ],
 )
@@ -111,6 +112,28 @@ def test_node_counts_pinned(g, value, nodes):
     # any change to the search tree (order, bound, masks) moves these counts
     res = gp_exact(g)
     assert (res.value, res.status, res.nodes_explored) == (value, EXACT, nodes)
+
+
+@pytest.mark.parametrize(
+    "g,value,nodes",
+    [
+        (kneser(8, 3), 21, 14067),  # 1,419,313 unpruned
+        (line_graph(complete(12)), 12, 246),  # 13,919,095 unpruned
+        (cartesian_product(complete(7), complete(7)), 12, 490),  # 3,982,281 unpruned
+    ],
+)
+def test_pruned_node_counts_pinned(g, value, nodes):
+    # the orbit pruning's tree: any change to the cells or the orbits moves these
+    res = gp_exact(g)
+    assert (res.value, res.status, res.nodes_explored) == (value, EXACT, nodes)
+
+
+@pytest.mark.stretch
+def test_kneser_9_4_exact():
+    # no closed form covers K(9,4) (n < 3k - 1); the pruned search settles it
+    res = gp_exact(kneser(9, 4))
+    assert (res.value, res.status) == (26, EXACT)
+    assert is_general_position(distances(kneser(9, 4)), res.witness)
 
 
 def test_deep_search_on_isolated_vertices():
@@ -228,11 +251,16 @@ def test_gp_auto_dispatch():
     assert (res.value, res.status) == (6, EXACT)
 
 
-@settings(max_examples=30, deadline=None)
-@given(graphs(max_n=8), st.data())
+SYMMETRIC_SMALL = [kneser(6, 2), line_graph(complete(6)), cartesian_product(complete(4), complete(3))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(graphs(max_n=8), st.sampled_from(SYMMETRIC_SMALL)), st.data())
 def test_gp_auto_equals_gp_exact(g, data):
     # gp_auto on a relabelled copy agrees with gp_exact on the original:
-    # the branching order moves with the labels, the result must not
+    # the branching order moves with the labels, the result must not. The
+    # copy carries no action, so a symmetric original's pruned search is
+    # checked against the plain search in another order
     perm = data.draw(st.permutations(range(g.n)))
     h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
     want, got = gp_exact(g), gp_auto(h)

@@ -1,0 +1,235 @@
+"""Ground-set actions and the orbit pruning of the gp search.
+
+The orbit masks are compared with orbits enumerated over the whole group;
+the pruned search with the plain search on action-free copies; and, in the
+stretch run, both with an integer program that shares no code with either.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from genpos import (
+    Budget,
+    EXACT,
+    Graph,
+    GroundAction,
+    InputError,
+    LOWER_BOUND,
+    cartesian_product,
+    complete,
+    corona,
+    cycle,
+    disjoint_union,
+    distances,
+    edgeless,
+    gp_exact,
+    is_general_position,
+    join,
+    kneser,
+    line_graph,
+    path,
+)
+from genpos.budget import SearchClock
+from genpos.invariants import _degree_order
+from genpos.solver import _check_action, _orbit, _orbit_tables, _refine
+
+import corpus
+import oracles
+
+SYMMETRIC = corpus.symmetric_named()
+
+
+# --- what the constructors attach -----------------------------------------------
+
+
+def test_constructors_attach_actions():
+    assert kneser(5, 2).action.points[0] == (0b00011,)  # {1,2}
+    assert complete(3).action == GroundAction((3,), (True,), ((1,), (2,), (4,)))
+    assert line_graph(complete(4)).action.points[0] == (0b0011,)  # the edge {0,1}
+    a = cartesian_product(complete(2), cycle(3)).action
+    assert (a.sizes, a.symmetric) == ((2, 3), (True, False))
+    assert a.points[4] == (0b10, 0b010)  # vertex (1, 1)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        path(4),
+        cycle(5),
+        cartesian_product(cycle(4), path(3)),  # every coordinate rigid
+        line_graph(cycle(5)),
+        line_graph(kneser(5, 2)),  # the input is not complete
+        join(complete(2), complete(2)),
+        disjoint_union(complete(2), complete(2)),
+        corona(complete(2), complete(1)),
+    ],
+)
+def test_other_graphs_have_no_action(g):
+    assert g.action is None
+
+
+def test_action_takes_no_part_in_equality():
+    g = kneser(5, 2)
+    copy = Graph(g.n, g.adj, g.labels)
+    assert copy.action is None
+    assert g == copy and hash(g) == hash(copy)
+    assert g == Graph.from_edges(g.n, g.edges(), g.labels)
+
+
+@pytest.mark.parametrize("name,g", SYMMETRIC, ids=[name for name, _ in SYMMETRIC])
+def test_constructor_actions_pass_the_check(name, g):
+    assert g.action is not None
+    assert _check_action(g, SearchClock())
+
+
+# --- wrong actions are refused ----------------------------------------------------
+
+
+def test_action_of_another_labelling_is_refused():
+    g = kneser(6, 2)
+    perm = list(range(g.n))
+    random.Random(3).shuffle(perm)
+    h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], action=g.action)
+    with pytest.raises(InputError, match="ground action"):
+        gp_exact(h)
+
+
+@pytest.mark.parametrize(
+    "g,action",
+    [
+        (cycle(5), complete(5).action),  # (0 1) maps the edge 1-2 to 0-2
+        (edgeless(3), GroundAction((3,), (True,), ((1,), (1,), (2,)))),  # shared point
+        (edgeless(2), GroundAction((1,), (True,), ((1,), (2,)))),  # outside the ground set
+        (edgeless(3), GroundAction((3,), (True,), ((1,), (2,)))),  # too few points
+        (edgeless(2), GroundAction((2,), (True, False), ((1,), (2,)))),  # flags != sizes
+        (path(2), GroundAction((3,), (True,), ((1,), (2,)))),  # (0 1 2) maps vertex 1 to no vertex
+    ],
+)
+def test_wrong_action_raises(g, action):
+    with pytest.raises(InputError, match="ground action"):
+        gp_exact(Graph(g.n, g.adj, g.labels, action))
+
+
+def test_check_runs_inside_the_budget():
+    res = gp_exact(kneser(12, 3), Budget(max_ms=0))
+    assert (res.value, res.witness, res.status) == (0, (), LOWER_BOUND)
+
+
+# --- orbit masks against brute force ---------------------------------------------
+
+
+def _group(a):
+    """Every element of the acting group, as a tuple of ground permutations
+    (None on a rigid coordinate)."""
+    per_coord = [
+        itertools.permutations(range(size)) if sym else [None]
+        for size, sym in zip(a.sizes, a.symmetric)
+    ]
+    return itertools.product(*map(list, per_coord))
+
+
+def _apply(pi, point):
+    out = []
+    for perm, m in zip(pi, point):
+        if perm is None:
+            out.append(m)
+        else:
+            out.append(sum(1 << perm[e] for e in range(len(perm)) if m >> e & 1))
+    return tuple(out)
+
+
+ORBIT_GRAPHS = [
+    ("K(5,2)", kneser(5, 2)),
+    ("K(6,2)", kneser(6, 2)),
+    ("K(6,3)", kneser(6, 3)),
+    ("K(4,1)", kneser(4, 1)),
+    ("L(K6)", line_graph(complete(6))),
+    ("E5", edgeless(5)),
+    ("K3xK3", corpus.hamming(3, 3)),
+    ("K2xK4", corpus.hamming(2, 4)),
+    ("K2xK2xK3", corpus.hamming(2, 2, 3)),
+    ("K3xC4", cartesian_product(complete(3), cycle(4))),
+    ("P2xK3xK2", cartesian_product(cartesian_product(path(2), complete(3)), complete(2))),
+]
+
+
+@pytest.mark.parametrize("name,g", ORBIT_GRAPHS, ids=[name for name, _ in ORBIT_GRAPHS])
+def test_orbit_masks_equal_brute_force_orbits(name, g):
+    a = g.action
+    index = {p: v for v, p in enumerate(a.points)}
+    images = [[index[_apply(pi, p)] for p in a.points] for pi in _group(a)]
+    _, order = _degree_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    xs, M, same, root, ground = _orbit_tables(a, order)
+    rng = random.Random(name)
+    prefixes = [()] + [tuple(rng.sample(range(g.n), rng.randint(1, 3))) for _ in range(12)]
+    for S in prefixes:
+        stab = [img for img in images if all(img[s] == s for s in S)]
+        cells = root
+        for s in S:
+            if cells is not None:
+                cells = _refine(cells, xs[pos[s]], ground)
+        for x in range(g.n):
+            want = {img[x] for img in stab}
+            i = pos[x]
+            if cells is None:
+                got = {x}
+            else:
+                mask = _orbit(((1 << g.n) - 1) & same[i], xs[i], cells, M)
+                got = {order[j] for j in range(g.n) if mask >> j & 1}
+            assert got == want, (S, x)
+
+
+# --- the pruned search against the plain one ----------------------------------------
+
+
+@pytest.mark.parametrize("name,g", SYMMETRIC, ids=[name for name, _ in SYMMETRIC])
+def test_pruning_keeps_value_witness_and_status(name, g):
+    # pruning never removes the first maximum set in search order, so even
+    # the witness is the plain search's
+    pruned, plain = gp_exact(g), gp_exact(corpus.action_free(g))
+    assert (pruned.value, pruned.witness, pruned.status) == (plain.value, plain.witness, plain.status)
+    assert pruned.nodes_explored <= plain.nodes_explored
+
+
+@pytest.mark.parametrize("name,g", SYMMETRIC, ids=[name for name, _ in SYMMETRIC])
+def test_pruned_search_on_relabelled_copies(name, g):
+    # the action relabelled with the graph: the orbits move with the branching order
+    rng = random.Random(name)
+    want = gp_exact(g).value
+    for _ in range(3):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        points = [None] * g.n
+        for v, p in enumerate(g.action.points):
+            points[perm[v]] = p
+        action = GroundAction(g.action.sizes, g.action.symmetric, tuple(points))
+        h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], action=action)
+        res = gp_exact(h)
+        assert (res.value, res.status) == (want, EXACT)
+        assert is_general_position(distances(h), res.witness)
+
+
+# --- an oracle that shares no code with the search ------------------------------------
+
+ILP_GRAPHS = [
+    ("K(7,3)", kneser(7, 3)),
+    ("K(8,3)", kneser(8, 3)),
+    ("L(K8)", line_graph(complete(8))),
+    ("K6xK6", corpus.hamming(6, 6)),
+    ("C6xC6", cartesian_product(cycle(6), cycle(6))),
+    ("Q5", corpus.hamming(2, 2, 2, 2, 2)),
+]
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("name,g", ILP_GRAPHS, ids=[name for name, _ in ILP_GRAPHS])
+def test_ilp_oracle_equals_gp_exact(name, g):
+    pytest.importorskip("scipy")
+    value, witness = oracles.gp_ilp(distances(g).d)
+    assert is_general_position(distances(g), witness)
+    pruned, plain = gp_exact(g), gp_exact(corpus.action_free(g))
+    assert (pruned.value, pruned.status) == (value, EXACT)
+    assert (plain.value, plain.status) == (value, EXACT)
