@@ -229,29 +229,13 @@ def predict_hamming(ns):
 @predict.command("join")
 @click.argument("omega_g", type=int)
 @click.argument("omega_h", type=int)
-@click.argument("eta_g", type=int)
-@click.argument("eta_h", type=int)
 @click.argument("rho_g", type=int)
 @click.argument("rho_h", type=int)
-@click.option("--both-complete", is_flag=True, help="Both factors complete: value is n_g + n_h.")
-@click.option("--n-g", type=int, default=None)
-@click.option("--n-h", type=int, default=None)
-@click.option("--form", type=click.Choice(["rho", "eta"]), default="rho")
 @_input_errors
-def predict_join(omega_g, omega_h, eta_g, eta_h, rho_g, rho_h, both_complete, n_g, n_h, form):
-    """gp(G + H) from the factor invariants."""
-    params = {
-        "omega_g": omega_g,
-        "omega_h": omega_h,
-        "eta_g": eta_g,
-        "eta_h": eta_h,
-        "rho_g": rho_g,
-        "rho_h": rho_h,
-    }
-    pred = gp_join(
-        omega_g, omega_h, eta_g, eta_h, rho_g, rho_h, both_complete, n_g, n_h, form=form
-    )
-    _echo_prediction("prop4.2", params, pred)
+def predict_join(omega_g, omega_h, rho_g, rho_h):
+    """gp(G + H) from the factors' ω and ρ."""
+    params = {"omega_g": omega_g, "omega_h": omega_h, "rho_g": rho_g, "rho_h": rho_h}
+    _echo_prediction("prop4.2", params, gp_join(omega_g, omega_h, rho_g, rho_h))
 
 
 @predict.command("corona")
@@ -277,11 +261,7 @@ def predict_line_complete(n):
 @_input_errors
 def predict_ekr(n, k):
     """Erdos-Ko-Rado bound C(n-1,k-1) on alpha(K(n,k)) for n >= 2k."""
-    try:
-        pred = Prediction(True, value=ekr_bound(n, k))
-    except InputError as e:
-        pred = Prediction(False, reason=str(e))
-    _echo_prediction("ekr", {"n": n, "k": k}, pred)
+    _echo_prediction("ekr", {"n": n, "k": k}, ekr_bound(n, k))
 
 
 @main.command("check-set")

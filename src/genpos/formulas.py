@@ -163,34 +163,15 @@ def hamming_lower(ns) -> Prediction:
     return Prediction(True, lower=bound, upper=None, witness=witness)
 
 
-def gp_join(
-    omega_g: int,
-    omega_h: int,
-    eta_g: int,
-    eta_h: int,
-    rho_g: int,
-    rho_h: int,
-    both_complete: bool = False,
-    n_g: int | None = None,
-    n_h: int | None = None,
-    form: str = "rho",
-) -> Prediction:
-    """gp(G + H) = max{ω(G)+ω(H), ρ(G), ρ(H)} = max{ω(G)+ω(H), η(G), η(H)}.
+def gp_join(omega_g: int, omega_h: int, rho_g: int, rho_h: int) -> Prediction:
+    """gp(G + H) = max{ω(G)+ω(H), ρ(G), ρ(H)}.
 
-    ``form`` selects which of the two equal expressions is evaluated, so a
-    harness can compute both and report any disagreement instead of
-    resolving it silently. Two complete factors short-circuit to
-    n(G) + n(H) = gp(K_{n(G)+n(H)}).
+    The paper states this with η as well; η = ρ here (a single clique counts
+    as a complete multipartite complement, see :mod:`genpos.invariants`), so
+    the η form is the same number. Two complete factors need no special case:
+    ω(G)+ω(H) = n(G)+n(H) already bounds ρ.
     """
-    if both_complete:
-        if n_g is None or n_h is None:
-            raise InputError("both_complete needs n_g and n_h")
-        return Prediction(True, value=n_g + n_h)
-    if form == "rho":
-        return Prediction(True, value=max(omega_g + omega_h, rho_g, rho_h))
-    if form == "eta":
-        return Prediction(True, value=max(omega_g + omega_h, eta_g, eta_h))
-    raise InputError(f"form must be 'rho' or 'eta', got {form!r}")
+    return Prediction(True, value=max(omega_g + omega_h, rho_g, rho_h))
 
 
 def gp_corona(n_g: int, rho_h: int, n_h: int | None = None, rho_witness=None) -> Prediction:
@@ -236,8 +217,8 @@ def gp_line_complete(n: int) -> Prediction:
     return Prediction(True, value=n - 1, witness=witness)
 
 
-def ekr_bound(n: int, k: int) -> int:
+def ekr_bound(n: int, k: int) -> Prediction:
     """Erdős–Ko–Rado: α(K(n,k)) <= C(n-1,k-1) for n >= 2k (star attains)."""
     if k < 1 or n < 2 * k:
-        raise InputError(f"EKR bound needs n >= 2k >= 2, got n={n}, k={k}")
-    return comb(n - 1, k - 1)
+        return _na(f"EKR bound needs n >= 2k >= 2, got n={n}, k={k}")
+    return Prediction(True, value=comb(n - 1, k - 1))

@@ -89,7 +89,10 @@ def build_graph_spec(spec: Any) -> Graph:
     if not isinstance(args, list):
         raise InputError(f"'args' must be a list in {spec!r}")
     built = [build_graph_spec(a) if isinstance(a, dict) else a for a in args]
-    return fn(*built)
+    try:
+        return fn(*built)
+    except (TypeError, AttributeError) as e:  # wrong arity, or a number where a graph belongs
+        raise InputError(f"bad arguments for {spec['family']!r}: {e}") from None
 
 
 def _hamming(ns: list[int]) -> Graph:
@@ -97,10 +100,6 @@ def _hamming(ns: list[int]) -> Graph:
     for n in ns[1:]:
         g = cons.cartesian_product(g, cons.complete(n))
     return g
-
-
-def _is_complete(g: Graph) -> bool:
-    return g.edge_count == g.n * (g.n - 1) // 2
 
 
 # --- runners: params -> (prediction, computed, inputs) ----------------------
@@ -147,10 +146,8 @@ def _run_join(params: dict, budget: Budget | None) -> _Run:
     g = build_graph_spec(params["g"])
     h = build_graph_spec(params["h"])
     wg, wh = omega(g, budget), omega(h, budget)
-    # η = ρ is one search, so the η and ρ forms of the prediction coincide
     rg, rh = rho(g, budget), rho(h, budget)
-    both = _is_complete(g) and _is_complete(h)
-    pred = gp_join(wg.value, wh.value, rg.value, rh.value, rg.value, rh.value, both, g.n, h.n)
+    pred = gp_join(wg.value, wh.value, rg.value, rh.value)
     return pred, gp_auto(cons.join(g, h), budget), (wg, wh, rg, rh)
 
 
@@ -166,10 +163,9 @@ def _run_corona(params: dict, budget: Budget | None) -> _Run:
 
 def _run_ekr(params: dict, budget: Budget | None) -> _Run:
     n, k = params["n"], params["k"]
-    try:
-        pred = Prediction(True, value=ekr_bound(n, k))
-    except InputError as e:
-        return Prediction(False, reason=str(e)), None, ()
+    pred = ekr_bound(n, k)
+    if not pred.applicable:
+        return pred, None, ()
     t0 = time.monotonic()
     a = alpha(cons.kneser(n, k), budget)
     computed = GpResult(

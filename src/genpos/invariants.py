@@ -77,8 +77,8 @@ def _degree_order(g: Graph) -> tuple[list[int], list[int]]:
     return bits, order
 
 
-def _to_original(mask: int, order: list[int]) -> VertexSet:
-    return tuple(sorted(order[i] for i in _iter_bits(mask)))
+def _to_original(internal, order: list[int]) -> VertexSet:
+    return tuple(sorted(order[i] for i in internal))
 
 
 # --- maximum clique ---------------------------------------------------------
@@ -141,7 +141,7 @@ def _run_omega(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
         elif size + 1 > best_size:
             best_size = size + 1
             best_mask = members | vbit
-    return best_size, _to_original(best_mask, order)
+    return best_size, _to_original(_iter_bits(best_mask), order)
 
 
 def omega(g: Graph, budget: Budget | None = None) -> InvariantResult:
@@ -190,15 +190,14 @@ def is_cluster_set(g: Graph, members) -> bool:
 def _run_cluster(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
     """Largest S with g[S] a disjoint union of cliques."""
     bits, order = _degree_order(g)
+    best: list[int] = []
     best_size = 0
-    best_mask = 0
 
     # The loop shape of solver._run_gp: stack[i] holds the candidates not yet
     # branched on below chosen[:i], each of which sees none of chosen[:i] or
     # exactly one of its cliques. len(chosen) never exceeds best_size.
     tick = clock.tick
     chosen: list[int] = []
-    smask = 0
     stack = [(1 << g.n) - 1]
     while stack:
         C = stack[-1]
@@ -207,7 +206,7 @@ def _run_cluster(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
         if len(chosen) + C.bit_count() <= best_size:
             stack.pop()
             if chosen:
-                smask ^= 1 << chosen.pop()
+                chosen.pop()
             continue
         xbit = C & -C
         C ^= xbit
@@ -221,10 +220,9 @@ def _run_cluster(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
             else:
                 far |= bits[s]
         chosen.append(x)
-        smask |= xbit
         if len(chosen) > best_size:
             best_size = len(chosen)
-            best_mask = smask
+            best = chosen.copy()
         # x joins the clique it sees, or starts a new one: a candidate must
         # see x and that clique both or neither, or not see x and a clique
         newC = C & ~(bx ^ near if near else bx & far)
@@ -232,8 +230,7 @@ def _run_cluster(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
             stack.append(newC)
         else:
             chosen.pop()
-            smask ^= xbit
-    return best_size, _to_original(best_mask, order)
+    return best_size, _to_original(best, order)
 
 
 def rho(g: Graph, budget: Budget | None = None) -> InvariantResult:

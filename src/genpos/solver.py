@@ -295,11 +295,17 @@ def _check_action(g: Graph, clock: SearchClock) -> bool:
     bijection of the vertices that keeps edges is an automorphism.
     """
     a = g.action
+    if any(not isinstance(size, int) or size < 0 for size in a.sizes):
+        raise InputError(f"ground action: sizes {a.sizes!r} must be nonnegative integers")
     d = len(a.sizes)
     if len(a.symmetric) != d or len(a.points) != g.n:
         raise InputError(f"ground action has {len(a.points)} points for n={g.n}")
     for v, p in enumerate(a.points):
-        if len(p) != d or any(not 0 <= m < 1 << size for m, size in zip(p, a.sizes)):
+        if (
+            not isinstance(p, tuple)
+            or len(p) != d
+            or any(not isinstance(m, int) or not 0 <= m < 1 << size for m, size in zip(p, a.sizes))
+        ):
             raise InputError(f"ground action: vertex {v} has point {p!r} outside ground sets {a.sizes}")
     index = {p: v for v, p in enumerate(a.points)}
     if len(index) != g.n:
@@ -423,7 +429,8 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
     blocked = _conflict_masks(bits, clock)
     if blocked is None:
         return 0, ()
-    best_mask = best_size = 0
+    best: list[int] = []
+    best_size = 0
 
     # Depth-first search on an explicit stack: stack[i] holds the candidates
     # not yet branched on below chosen[:i], each of which keeps chosen[:i]
@@ -435,7 +442,6 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
     # exceeds best_size.
     tick = clock.tick
     chosen: list[int] = []
-    smask = 0
     stack = [(1 << n) - 1]
     cells = [] if root is None else [root]
     while stack:
@@ -447,7 +453,6 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
             stack.pop()
             if chosen:
                 x = chosen.pop()
-                smask ^= 1 << x
                 if cells:
                     if len(chosen) + 1 < len(cells):
                         cells.pop()
@@ -464,10 +469,9 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
         for s in chosen:
             kill |= bx[s]
         chosen.append(x)
-        smask |= xbit
         if len(chosen) > best_size:
             best_size = len(chosen)
-            best_mask = smask
+            best = chosen.copy()
         newC = C & ~kill
         if newC:
             stack.append(newC)
@@ -477,10 +481,9 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
                     cells.append(sub)
         else:
             chosen.pop()
-            smask ^= xbit
             if cells and len(chosen) < len(cells) and len(chosen) + C.bit_count() > best_size:
                 stack[-1] = C & ~_orbit(C & same[x], xs[x], cells[-1], M)
-    return best_size, _to_original(best_mask, order)
+    return best_size, _to_original(best, order)
 
 
 def gp_exact(g: Graph, budget: Budget | None = None) -> GpResult:

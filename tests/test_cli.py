@@ -57,6 +57,20 @@ def test_construct_unknown_family_exits_2(runner):
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "kneser", "5"],  # missing k
+        ["construct", "--spec", '{"family":"path","args":["x"]}'],  # string where n belongs
+        ["construct", "--spec", '{"family":"cartesian_product","args":[5,3]}'],  # ints where graphs belong
+    ],
+)
+def test_construct_bad_arguments_exit_2(runner, argv):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: bad arguments for")
+
+
 def test_construct_without_args_is_usage_error(runner):
     res = runner.invoke(main, ["construct"])
     assert res.exit_code != 0
@@ -151,9 +165,16 @@ def test_predict_hamming_multi(runner):
     assert rec["witness"] == [1, 2, 4]
 
 
-def test_predict_join_eta_form(runner):
-    res = runner.invoke(main, ["predict", "join", "1", "1", "2", "3", "2", "3", "--form", "eta"])
-    assert json.loads(res.output)["value_or_interval"] == 3
+def test_predict_join(runner):
+    res = runner.invoke(main, ["predict", "join", "1", "1", "2", "3"])
+    rec = json.loads(res.output)
+    assert rec["params"] == {"omega_g": 1, "omega_h": 1, "rho_g": 2, "rho_h": 3}
+    assert rec["value_or_interval"] == 3
+
+
+def test_predict_join_takes_four_arguments(runner):
+    res = runner.invoke(main, ["predict", "join", "1", "1", "2", "3", "2", "3"])
+    assert res.exit_code == 2
 
 
 # --- check-set -----------------------------------------------------------------

@@ -14,7 +14,6 @@ from genpos import (
     distances,
     edgeless,
     ekr_bound,
-    eta,
     gp_cartesian_lower,
     gp_corona,
     gp_exact,
@@ -165,28 +164,22 @@ def test_hamming_lower():
 # --- joins ------------------------------------------------------------------------
 
 
-def test_gp_join_forms_agree_on_fan():
-    # fan K_1 + P_3: omega 1/2, eta 1/2, rho 1/2
-    for form in ("rho", "eta"):
-        assert gp_join(1, 2, 1, 2, 1, 2, form=form).value == 3
+def test_gp_join_fan():
+    # fan K_1 + P_3: omega 1/2, rho 1/2
+    assert gp_join(1, 2, 1, 2).value == 3
     assert gp_exact(join(complete(1), path(3))).value == 3
 
 
 def test_gp_join_complete_bipartite():
     # K_{2,3} = E_2 + E_3
-    assert gp_join(1, 1, 2, 3, 2, 3).value == 3
+    assert gp_join(1, 1, 2, 3).value == 3
     assert gp_exact(join(edgeless(2), edgeless(3))).value == 3
 
 
 def test_gp_join_both_complete():
-    assert gp_join(2, 3, 2, 3, 2, 3, both_complete=True, n_g=2, n_h=3).value == 5
-    with pytest.raises(InputError):
-        gp_join(2, 3, 2, 3, 2, 3, both_complete=True)
-
-
-def test_gp_join_bad_form():
-    with pytest.raises(InputError):
-        gp_join(1, 1, 1, 1, 1, 1, form="omega")
+    # K_2 + K_3 = K_5: the general formula gives n(G) + n(H) with no shortcut
+    assert gp_join(2, 3, 2, 3).value == 5
+    assert gp_exact(join(complete(2), complete(3))).value == 5
 
 
 @pytest.mark.parametrize(
@@ -199,14 +192,7 @@ def test_gp_join_bad_form():
     ],
 )
 def test_gp_join_matches_solver(g, h):
-    pred = gp_join(
-        omega(g).value,
-        omega(h).value,
-        eta(g).value,
-        eta(h).value,
-        rho(g).value,
-        rho(h).value,
-    )
+    pred = gp_join(omega(g).value, omega(h).value, rho(g).value, rho(h).value)
     assert pred.value == gp_exact(join(g, h)).value
 
 
@@ -259,17 +245,17 @@ def test_gp_line_complete_witness_shapes():
 
 
 def test_ekr_bound_values():
-    assert ekr_bound(4, 2) == 3
-    assert ekr_bound(6, 3) == 10
-    assert ekr_bound(9, 2) == 8
-    with pytest.raises(InputError):
-        ekr_bound(3, 2)
-    with pytest.raises(InputError):
-        ekr_bound(4, 0)
+    assert ekr_bound(4, 2).value == 3
+    assert ekr_bound(6, 3).value == 10
+    assert ekr_bound(9, 2).value == 8
+    for n, k in [(3, 2), (4, 0)]:
+        pred = ekr_bound(n, k)
+        assert not pred.applicable and pred.value is None
+        assert pred.reason == f"EKR bound needs n >= 2k >= 2, got n={n}, k={k}"
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2), (6, 3)])
 def test_ekr_attained_by_kneser_independence(n, k):
     g = kneser(n, k)
-    assert alpha(g).value == ekr_bound(n, k)
-    assert oracles.alpha_enum(g.n, g.edges()) == ekr_bound(n, k)
+    assert alpha(g).value == ekr_bound(n, k).value
+    assert oracles.alpha_enum(g.n, g.edges()) == ekr_bound(n, k).value

@@ -21,11 +21,14 @@ from genpos import (
     edgeless,
     gp_auto,
     gp_exact,
+    is_cluster_set,
     is_general_position,
     join,
     kneser,
     line_graph,
+    omega,
     path,
+    rho,
 )
 from genpos.budget import SearchClock
 from genpos.solver import _conflict_masks
@@ -178,6 +181,28 @@ def test_budget_exhaustion_gives_valid_lower_bound():
     assert res.nodes_explored == 5
     assert is_general_position(distances(g), res.witness)
     assert res.value <= 6  # true gp, frozen from enumeration
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(graphs(max_n=10), st.sampled_from([g for _, g in corpus.symmetric_named()])),
+    st.integers(0, 300),
+)
+def test_every_result_under_a_node_budget_is_a_certificate(g, m):
+    # a search stopped anywhere, the pruned gp search partway through an
+    # orbit included, returns a witness of its value that is valid
+    budget = Budget(max_nodes=m)
+    res, full = gp_exact(g, budget), gp_exact(g).value
+    assert len(res.witness) == res.value
+    assert is_general_position(distances(g), res.witness)
+    assert res.value <= full
+    if res.status == EXACT:
+        assert res.value == full
+    r = rho(g, budget)
+    assert len(r.witness) == r.value and is_cluster_set(g, r.witness)
+    w = omega(g, budget)
+    assert len(w.witness) == w.value
+    assert all(g.has_edge(u, v) for u, v in itertools.combinations(w.witness, 2))
 
 
 @pytest.mark.parametrize(

@@ -105,6 +105,9 @@ def test_action_of_another_labelling_is_refused():
         (edgeless(3), GroundAction((3,), (True,), ((1,), (2,)))),  # too few points
         (edgeless(2), GroundAction((2,), (True, False), ((1,), (2,)))),  # flags != sizes
         (path(2), GroundAction((3,), (True,), ((1,), (2,)))),  # (0 1 2) maps vertex 1 to no vertex
+        (edgeless(1), GroundAction((-1,), (True,), ((0,),))),  # negative size
+        (edgeless(2), GroundAction((2,), (True,), (1, 2))),  # int points, not tuples
+        (edgeless(2), GroundAction((2.0,), (True,), ((1,), (2,)))),  # non-int size
     ],
 )
 def test_wrong_action_raises(g, action):
