@@ -1,7 +1,9 @@
-"""Search budgets: node-count and wall-clock limits for the exact solvers.
+"""Search budgets, the per-call search clock, and the one result type.
 
 A solver that exhausts its budget returns its best incumbent with status
 "lower-bound" instead of raising, so callers can always use the result.
+Every search (gp, ω, α, ρ and η) returns a :class:`GpResult`, built by
+:meth:`SearchClock.result` from the clock that ran it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import InputError
+from .graph import VertexSet
 
 EXACT = "exact"
 LOWER_BOUND = "lower-bound"
@@ -30,6 +33,18 @@ class Budget:
             raise InputError(f"max_nodes must be >= 0, got {self.max_nodes}")
         if self.max_ms is not None and math.isnan(self.max_ms):
             raise InputError("max_ms must be a number, got NaN")
+
+
+@dataclass(frozen=True, slots=True)
+class GpResult:
+    """Outcome of a search; witness certifies value."""
+
+    value: int
+    witness: VertexSet
+    status: str  # "exact" | "lower-bound"
+    nodes_explored: int
+    elapsed_ms: float
+    method: str  # "exact" (gp), "omega", "alpha" or "rho" (also for η)
 
 
 class SearchClock:
@@ -82,3 +97,7 @@ class SearchClock:
     @property
     def status(self) -> str:
         return LOWER_BOUND if self.exhausted else EXACT
+
+    def result(self, value: int, witness: VertexSet, method: str) -> GpResult:
+        """The search's outcome, with this clock's status, nodes and time."""
+        return GpResult(value, witness, self.status, self.nodes, self.elapsed_ms(), method)

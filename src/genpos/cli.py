@@ -18,7 +18,7 @@ import sys
 
 import click
 
-from .budget import Budget
+from .budget import Budget, GpResult
 from .errors import InputError, ParseError
 from .formulas import (
     Prediction,
@@ -33,7 +33,7 @@ from .formulas import (
     kneser_condition,
 )
 from .graph import distances, is_connected
-from .harness import build_graph_spec, default_grid, emit_table, run_verify, theorem_ids
+from .harness import build_graph_spec, default_grid, emit_table, prediction_json, run_verify, theorem_ids
 from .io import dumps_json, encode_graph6, read_graph, write_graph
 from .invariants import alpha, eta, omega, rho
 from .solver import characterization_check, gp_auto, is_general_position
@@ -112,26 +112,18 @@ def construct(family, args, spec_json, out_path, fmt):
         click.echo(encode_graph6(g))
 
 
+def _result_record(r: GpResult) -> dict:
+    return {"value": r.value, "witness": list(r.witness), "status": r.status, "nodes": r.nodes_explored}
+
+
 @main.command("gp")
 @click.option("--graph", "path", required=True, type=click.Path(exists=True, dir_okay=False))
 @_budget_options
 @_input_errors
 def gp_cmd(path, budget_nodes, budget_ms):
     """Compute gp(G) with witness."""
-    g = read_graph(path)
-    r = gp_auto(g, _budget(budget_nodes, budget_ms))
-    click.echo(
-        json.dumps(
-            {
-                "value": r.value,
-                "witness": list(r.witness),
-                "status": r.status,
-                "nodes": r.nodes_explored,
-                "ms": round(r.elapsed_ms, 1),
-                "method": r.method,
-            }
-        )
-    )
+    r = gp_auto(read_graph(path), _budget(budget_nodes, budget_ms))
+    click.echo(json.dumps({**_result_record(r), "ms": round(r.elapsed_ms, 1), "method": r.method}))
 
 
 @main.command()
@@ -141,19 +133,8 @@ def gp_cmd(path, budget_nodes, budget_ms):
 @_input_errors
 def invariant(which, path, budget_nodes, budget_ms):
     """Compute ω, α, η, or ρ with witness."""
-    g = read_graph(path)
     fn = {"omega": omega, "alpha": alpha, "eta": eta, "rho": rho}[which]
-    r = fn(g, _budget(budget_nodes, budget_ms))
-    click.echo(
-        json.dumps(
-            {
-                "value": r.value,
-                "witness": list(r.witness),
-                "status": r.status,
-                "nodes": r.nodes_explored,
-            }
-        )
-    )
+    click.echo(json.dumps(_result_record(fn(read_graph(path), _budget(budget_nodes, budget_ms)))))
 
 
 @main.group()
@@ -162,17 +143,11 @@ def predict():
 
 
 def _echo_prediction(theorem: str, params: dict, pred: Prediction) -> None:
-    if not pred.applicable:
-        value = None
-    elif pred.value is not None:
-        value = pred.value
-    else:
-        value = list(pred.interval)
     record = {
         "theorem": theorem,
         "params": params,
         "applicable": pred.applicable,
-        "value_or_interval": value,
+        "value_or_interval": prediction_json(pred),
         "witness": None if pred.witness is None else list(pred.witness),
     }
     if not pred.applicable:

@@ -46,6 +46,14 @@ def _na(reason: str) -> Prediction:
     return Prediction(applicable=False, reason=reason)
 
 
+def _negative(**args: int | None) -> Prediction | None:
+    """Not applicable, naming the first negative argument; None if there is none."""
+    for name, v in args.items():
+        if v is not None and v < 0:
+            return _na(f"needs {name} >= 0, got {v}")
+    return None
+
+
 def kneser_star_witness(n: int, k: int) -> VertexSet:
     """Ids in kneser(n, k) of all k-subsets containing the element 1."""
     return tuple(
@@ -110,6 +118,8 @@ def gp_cartesian_lower(gp_g: int, gp_h: int, n_g: int | None = None, n_h: int | 
     supplied; connectivity of the factors is the caller's responsibility
     (only the gp values travel in).
     """
+    if (na := _negative(gp_g=gp_g, gp_h=gp_h, n_g=n_g, n_h=n_h)) is not None:
+        return na
     upper = n_g * n_h if n_g is not None and n_h is not None else None
     return Prediction(True, lower=gp_g + gp_h - 2, upper=upper)
 
@@ -171,6 +181,8 @@ def gp_join(omega_g: int, omega_h: int, rho_g: int, rho_h: int) -> Prediction:
     the η form is the same number. Two complete factors need no special case:
     ω(G)+ω(H) = n(G)+n(H) already bounds ρ.
     """
+    if (na := _negative(omega_g=omega_g, omega_h=omega_h, rho_g=rho_g, rho_h=rho_h)) is not None:
+        return na
     return Prediction(True, value=max(omega_g + omega_h, rho_g, rho_h))
 
 
@@ -182,6 +194,8 @@ def gp_corona(n_g: int, rho_h: int, n_h: int | None = None, rho_witness=None) ->
     """
     if n_g < 2:
         return _na(f"needs n(G) >= 2, got {n_g}")
+    if (na := _negative(rho_h=rho_h, n_h=n_h)) is not None:
+        return na
     witness = None
     if n_h is not None and rho_witness is not None:
         rw = vertex_set(rho_witness, n_h)

@@ -27,7 +27,7 @@ from importlib import resources
 from typing import Any, Callable
 
 from . import constructions as cons
-from .budget import EXACT, Budget
+from .budget import EXACT, Budget, GpResult
 from .errors import InputError
 from .formulas import (
     Prediction,
@@ -43,7 +43,7 @@ from .formulas import (
 )
 from .graph import Graph, diameter, is_connected
 from .invariants import alpha, eta, omega, rho
-from .solver import GpResult, gp_auto
+from .solver import gp_auto
 
 MATCH = "match"
 WITHIN_BOUND = "within-bound"
@@ -166,12 +166,7 @@ def _run_ekr(params: dict, budget: Budget | None) -> _Run:
     pred = ekr_bound(n, k)
     if not pred.applicable:
         return pred, None, ()
-    t0 = time.monotonic()
-    a = alpha(cons.kneser(n, k), budget)
-    computed = GpResult(
-        a.value, a.witness, a.status, a.nodes_explored, (time.monotonic() - t0) * 1000.0, "alpha"
-    )
-    return pred, computed, ()
+    return pred, alpha(cons.kneser(n, k), budget), ()
 
 
 _REGISTRY: dict[str, Callable[[dict, Budget | None], _Run]] = {
@@ -250,6 +245,14 @@ def run_verify(
     return reports
 
 
+def prediction_json(pred: Prediction) -> int | list | None:
+    """A prediction as JSON: None when not applicable, else the value, else
+    the interval as a list."""
+    if not pred.applicable:
+        return None
+    return pred.value if pred.value is not None else list(pred.interval)
+
+
 def _fmt_predicted(pred: Prediction) -> str:
     if not pred.applicable:
         return "n/a"
@@ -281,14 +284,11 @@ def emit_table(reports: list[TheoremReport], format: str = "csv") -> str:
     if format == "json-lines":
         lines = []
         for r in reports:
-            pred = r.predicted
             record = {
                 "theorem": r.theorem_id,
                 "params": r.params,
-                "applicable": pred.applicable,
-                "predicted": None
-                if not pred.applicable
-                else (pred.value if pred.value is not None else list(pred.interval)),
+                "applicable": r.predicted.applicable,
+                "predicted": prediction_json(r.predicted),
                 "computed": None if r.computed is None else r.computed.value,
                 "status": None if r.computed is None else r.computed.status,
                 "verdict": r.verdict,

@@ -30,25 +30,15 @@ All searches are deterministic: vertices are branched in descending-degree
 order (ties by id) and the incumbent is replaced only on strict improvement,
 so for ``status="exact"`` the witness is reproducible. When the budget runs
 out the loop ends and the best set found so far is returned with
-``status="lower-bound"``; no search raises for running out of budget.
+``status="lower-bound"``; no search raises for running out of budget. Each
+returns the gp search's :class:`~genpos.budget.GpResult`, with ``method``
+"omega", "alpha" or "rho" (η returns ρ's result).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .budget import Budget, SearchClock
-from .graph import Graph, VertexSet, complement, vertex_set
-
-
-@dataclass(frozen=True, slots=True)
-class InvariantResult:
-    """Value, certifying vertex set, and how the search ended."""
-
-    value: int
-    witness: VertexSet
-    nodes_explored: int
-    status: str  # "exact" | "lower-bound"
+from .budget import Budget, GpResult, SearchClock
+from .graph import Graph, VertexSet, complement, connected_components, induced_subgraph
 
 
 def _iter_bits(mask: int):
@@ -144,18 +134,16 @@ def _run_omega(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
     return best_size, _to_original(_iter_bits(best_mask), order)
 
 
-def omega(g: Graph, budget: Budget | None = None) -> InvariantResult:
+def omega(g: Graph, budget: Budget | None = None) -> GpResult:
     """Clique number ω(g) with a maximum-clique witness."""
     clock = SearchClock(budget)
-    value, witness = _run_omega(g, clock)
-    return InvariantResult(value, witness, clock.nodes, clock.status)
+    return clock.result(*_run_omega(g, clock), "omega")
 
 
-def alpha(g: Graph, budget: Budget | None = None) -> InvariantResult:
+def alpha(g: Graph, budget: Budget | None = None) -> GpResult:
     """Independence number α(g), computed as ω of the complement."""
     clock = SearchClock(budget)
-    value, witness = _run_omega(complement(g), clock)
-    return InvariantResult(value, witness, clock.nodes, clock.status)
+    return clock.result(*_run_omega(complement(g), clock), "alpha")
 
 
 # --- maximum induced cluster subgraph (shared by eta and rho) ---------------
@@ -163,28 +151,8 @@ def alpha(g: Graph, budget: Budget | None = None) -> InvariantResult:
 
 def is_cluster_set(g: Graph, members) -> bool:
     """True iff g[members] is a disjoint union of cliques (P_3-free)."""
-    s = vertex_set(members, g.n)
-    bits = g.adjacency_bits()
-    smask = 0
-    for v in s:
-        smask |= 1 << v
-    seen = 0
-    for v in s:
-        if (seen >> v) & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for x in _iter_bits(frontier):
-                nxt |= bits[x] & smask
-            frontier = nxt & ~comp
-            comp |= frontier
-        for x in _iter_bits(comp):
-            if bits[x] & comp != comp ^ (1 << x):
-                return False
-        seen |= comp
-    return True
+    h = induced_subgraph(g, members)
+    return all(len(h.adj[v]) == len(comp) - 1 for comp in connected_components(h) for v in comp)
 
 
 def _run_cluster(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
@@ -233,14 +201,13 @@ def _run_cluster(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
     return best_size, _to_original(best, order)
 
 
-def rho(g: Graph, budget: Budget | None = None) -> InvariantResult:
+def rho(g: Graph, budget: Budget | None = None) -> GpResult:
     """ρ(g): maximum vertices covered by pairwise independent cliques."""
     clock = SearchClock(budget)
-    value, witness = _run_cluster(g, clock)
-    return InvariantResult(value, witness, clock.nodes, clock.status)
+    return clock.result(*_run_cluster(g, clock), "rho")
 
 
-def eta(g: Graph, budget: Budget | None = None) -> InvariantResult:
+def eta(g: Graph, budget: Budget | None = None) -> GpResult:
     """η(g): maximum order of an induced complete multipartite subgraph of
     the complement; equivalently the largest S with g[S] a cluster graph.
 

@@ -163,26 +163,30 @@ def loads_json(text: str) -> Graph:
     return graph_from_json_dict(data)
 
 
-def _infer_format(path: str, text: str | None = None) -> str:
+def _infer_format(path: str, data: bytes | None = None) -> str:
     ext = os.path.splitext(path)[1].lower()
     if ext in (".g6", ".graph6"):
         return "g6"
     if ext == ".json":
         return "json"
-    if text is not None and text.lstrip()[:1] == "{":
+    if data is not None and data.lstrip()[:1] == b"{":
         return "json"
     return "g6"
 
 
 def read_graph(path: str, format: str | None = None) -> Graph:
     """Load a graph from ``path``, inferring graph6 vs JSON when not told."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    fmt = format or _infer_format(path, text)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    fmt = format or _infer_format(path, data)
     if fmt == "json":
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError("invalid UTF-8 in JSON data", e.start) from None
         return loads_json(text)
     if fmt == "g6":
-        return decode_graph6(text)
+        return decode_graph6(data)
     raise InputError(f"unknown graph format {fmt!r}")
 
 

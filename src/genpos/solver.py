@@ -89,7 +89,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .budget import Budget, SearchClock
+from .budget import Budget, GpResult, SearchClock
 from .errors import InputError
 from .graph import (
     INFINITY,
@@ -97,22 +97,12 @@ from .graph import (
     Graph,
     GroundAction,
     VertexSet,
+    connected_components,
+    induced_subgraph,
     is_connected,
     vertex_set,
 )
 from .invariants import _degree_order, _iter_bits, _to_original
-
-
-@dataclass(frozen=True, slots=True)
-class GpResult:
-    """Outcome of a gp computation; witness certifies value."""
-
-    value: int
-    witness: VertexSet
-    status: str  # "exact" | "lower-bound"
-    nodes_explored: int
-    elapsed_ms: float
-    method: str  # "exact"; "alpha" on the harness's ekr reports
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,23 +156,7 @@ def characterization_check(g: Graph, dm: DistanceMatrix, s) -> CharacterizationR
     if not is_connected(g):
         raise InputError("characterization_check needs a connected graph")
     sv = vertex_set(s, g.n)
-    ss = set(sv)
-
-    parts: list[VertexSet] = []
-    seen: set[int] = set()
-    for v in sv:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in g.adj[x]:
-                if y in ss and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        parts.append(tuple(sorted(comp)))
+    parts = [tuple(sv[i] for i in comp) for comp in connected_components(induced_subgraph(g, sv))]
 
     def fail(condition: str, verts, detail: str) -> CharacterizationResult:
         return CharacterizationResult(False, None, Violation(condition, vertex_set(verts, g.n), detail))
@@ -492,8 +466,7 @@ def gp_exact(g: Graph, budget: Budget | None = None) -> GpResult:
     Budget exhaustion degrades to status "lower-bound".
     """
     clock = SearchClock(budget)
-    value, witness = _run_gp(g, clock)
-    return GpResult(value, witness, clock.status, clock.nodes, clock.elapsed_ms(), "exact")
+    return clock.result(*_run_gp(g, clock), "exact")
 
 
 gp_auto = gp_exact

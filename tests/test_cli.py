@@ -172,12 +172,38 @@ def test_predict_join(runner):
     assert rec["value_or_interval"] == 3
 
 
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["join", "--", "-4", "-4", "-1", "-1"], "needs omega_g >= 0, got -4"),
+        (["cartesian-lower", "3", "3", "--n-g", "-2", "--n-h", "4"], "needs n_g >= 0, got -2"),
+        (["corona", "3", "--", "-2"], "needs rho_h >= 0, got -2"),
+    ],
+)
+def test_predict_negative_arguments_not_applicable(runner, args, reason):
+    res = runner.invoke(main, ["predict", *args])
+    rec = json.loads(res.output)
+    assert res.exit_code == 0
+    assert (rec["applicable"], rec["value_or_interval"], rec["reason"]) == (False, None, reason)
+
+
 def test_predict_join_takes_four_arguments(runner):
     res = runner.invoke(main, ["predict", "join", "1", "1", "2", "3", "2", "3"])
     assert res.exit_code == 2
 
 
 # --- check-set -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cmd", [["gp"], ["invariant", "--which", "alpha"], ["check-set", "--set", "0"]]
+)
+def test_non_utf8_graph_file_exits_2(runner, tmp_path, cmd):
+    p = tmp_path / "bad.g6"
+    p.write_bytes(b"\xff")
+    res = runner.invoke(main, [*cmd, "--graph", str(p)])
+    assert res.exit_code == 2
+    assert "non-ASCII byte" in res.output
 
 
 def test_check_set_agreement(runner, petersen_file):

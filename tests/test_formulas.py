@@ -259,3 +259,21 @@ def test_ekr_attained_by_kneser_independence(n, k):
     g = kneser(n, k)
     assert alpha(g).value == ekr_bound(n, k).value
     assert oracles.alpha_enum(g.n, g.edges()) == ekr_bound(n, k).value
+
+
+# --- negative arguments ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "pred, reason",
+    [
+        (gp_join(-4, -4, -1, -1), "needs omega_g >= 0, got -4"),
+        (gp_join(1, 1, 2, -3), "needs rho_h >= 0, got -3"),
+        (gp_cartesian_lower(3, 3, n_g=-2, n_h=4), "needs n_g >= 0, got -2"),
+        (gp_cartesian_lower(-1, 3), "needs gp_g >= 0, got -1"),
+        (gp_corona(3, -2), "needs rho_h >= 0, got -2"),
+        (gp_corona(-3, 2), "needs n(G) >= 2, got -3"),
+    ],
+)
+def test_negative_arguments_are_not_applicable(pred, reason):
+    assert (pred.applicable, pred.value, pred.interval, pred.reason) == (False, None, (None, None), reason)

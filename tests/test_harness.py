@@ -5,8 +5,8 @@ import pytest
 import genpos.harness
 from genpos import (
     Budget,
+    GpResult,
     InputError,
-    InvariantResult,
     TheoremReport,
     build_graph_spec,
     default_grid,
@@ -108,7 +108,7 @@ def test_timeout_verdict_not_mismatch():
 def test_unfinished_input_makes_prediction_a_lower_bound(monkeypatch, eta_value, verdict):
     # gp(K(5,2)) = 6 exactly. With η from an unfinished search the prediction
     # max{ω, η} only bounds gp from below: 7 > 6 refutes it, 3 <= 6 does not
-    fake = InvariantResult(eta_value, tuple(range(eta_value)), 1, "lower-bound")
+    fake = GpResult(eta_value, tuple(range(eta_value)), "lower-bound", 1, 0.0, "rho")
     monkeypatch.setattr(genpos.harness, "eta", lambda g, budget=None: fake)
     (r,) = run_verify("thm4.1", [{"g": {"family": "kneser", "args": [5, 2]}}])
     assert (r.computed.value, r.computed.status) == (6, "exact")

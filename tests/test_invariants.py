@@ -7,6 +7,7 @@ from genpos import (
     Budget,
     EXACT,
     LOWER_BOUND,
+    GpResult,
     Graph,
     alpha,
     cartesian_product,
@@ -104,6 +105,19 @@ def test_is_cluster_set():
     assert is_cluster_set(c5, (0, 1, 3))
     assert not is_cluster_set(c5, (0, 1, 2))
     assert is_cluster_set(c5, ())
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs(max_n=7))
+def test_is_cluster_set_means_no_induced_p3(g):
+    # the definition: no three members spanning exactly two edges
+    for r in range(g.n + 1):
+        for s in itertools.combinations(range(g.n), r):
+            p3 = any(
+                g.has_edge(x, y) + g.has_edge(x, z) + g.has_edge(y, z) == 2
+                for x, y, z in itertools.combinations(s, 3)
+            )
+            assert is_cluster_set(g, s) == (not p3), s
 
 
 def test_degenerate_graphs():
@@ -219,3 +233,12 @@ def test_result_is_frozen():
     res = omega(path(3))
     with pytest.raises(AttributeError):
         res.value = 7
+
+
+def test_every_search_returns_one_result_type():
+    g = kneser(5, 2)
+    for fn, method in ((omega, "omega"), (alpha, "alpha"), (rho, "rho"), (eta, "rho")):
+        res = fn(g)
+        assert isinstance(res, GpResult)
+        assert (res.method, res.status) == (method, EXACT)
+        assert res.elapsed_ms >= 0

@@ -151,6 +151,21 @@ def test_explicit_format_overrides_extension(tmp_path):
         read_graph(str(p), format="nope")
 
 
+def test_non_utf8_file_is_a_parse_error(tmp_path):
+    # the file is read as bytes: graph6 reports the non-ASCII byte, JSON the
+    # first byte that is not UTF-8, each at its offset
+    p6 = tmp_path / "bad.g6"
+    p6.write_bytes(b"\xff\xfe")
+    with pytest.raises(ParseError) as e:
+        read_graph(str(p6))
+    assert e.value.offset == 0
+    pj = tmp_path / "bad.json"
+    pj.write_bytes(b'{"n": 2, "edges": [\xff]}')
+    with pytest.raises(ParseError) as e:
+        read_graph(str(pj))
+    assert e.value.offset == 19
+
+
 def test_encode_rejects_huge_order():
     big = Graph(1 << 18, tuple(frozenset() for _ in range(1 << 18)))
     with pytest.raises(InputError):

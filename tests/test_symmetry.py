@@ -217,8 +217,8 @@ def test_pruned_search_on_relabelled_copies(name, g):
 
 # --- an oracle that shares no code with the search ------------------------------------
 
-ILP_GRAPHS = [
-    ("K(7,3)", kneser(7, 3)),
+# every symmetric corpus graph (n <= 35), plus larger ones up to n = 56
+ILP_GRAPHS = SYMMETRIC + [
     ("K(8,3)", kneser(8, 3)),
     ("L(K8)", line_graph(complete(8))),
     ("K6xK6", corpus.hamming(6, 6)),
