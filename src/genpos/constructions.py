@@ -19,9 +19,9 @@ Some constructors also attach the symmetry they know as a
 :class:`~genpos.graph.GroundAction`: ``complete`` and ``edgeless`` (Sym(n)
 on the vertices), ``kneser`` (Sym(n) on {1..n}), ``line_graph`` of a
 complete graph that carries its action (Sym(n) on the ends of the edges),
-and ``cartesian_product``, which concatenates its factors' coordinates and
-turns an action-free factor into one rigid coordinate. A product whose
-coordinates are all rigid, and every other graph, has no action.
+and ``cartesian_product`` of two factors that both carry one, which
+concatenates their coordinates. Every other graph, including a product with
+an action-free factor such as K_q □ C_m, has no action.
 """
 
 from __future__ import annotations
@@ -33,16 +33,9 @@ from .errors import InputError
 from .graph import Graph, GroundAction
 
 
-def _symmetric(size: int, masks) -> GroundAction:
+def _sym(size: int, masks) -> GroundAction:
     """Sym(size) acting on one coordinate whose vertices are ``masks``."""
-    return GroundAction((size,), (True,), tuple((m,) for m in masks))
-
-
-def _coordinates(g: Graph) -> GroundAction:
-    """g's action, or one rigid coordinate naming g's vertices."""
-    if g.action is not None:
-        return g.action
-    return GroundAction((g.n,), (False,), tuple((1 << a,) for a in range(g.n)))
+    return GroundAction((size,), tuple((m,) for m in masks))
 
 
 def complete(n: int) -> Graph:
@@ -50,7 +43,7 @@ def complete(n: int) -> Graph:
     if n < 1:
         raise InputError(f"complete(n) needs n >= 1, got {n}")
     return Graph.from_edges(
-        n, combinations(range(n), 2), action=_symmetric(n, (1 << v for v in range(n)))
+        n, combinations(range(n), 2), action=_sym(n, (1 << v for v in range(n)))
     )
 
 
@@ -58,7 +51,7 @@ def edgeless(n: int) -> Graph:
     """The empty graph on n vertices."""
     if n < 1:
         raise InputError(f"edgeless(n) needs n >= 1, got {n}")
-    return Graph.from_edges(n, [], action=_symmetric(n, (1 << v for v in range(n))))
+    return Graph.from_edges(n, [], action=_sym(n, (1 << v for v in range(n))))
 
 
 def path(n: int) -> Graph:
@@ -110,7 +103,7 @@ def kneser(n: int, k: int) -> Graph:
         if sets[i].isdisjoint(sets[j])
     ]
     labels = ["{" + ",".join(map(str, v)) + "}" for v in verts]
-    action = _symmetric(n, (sum(1 << (e - 1) for e in v) for v in verts))
+    action = _sym(n, (sum(1 << (e - 1) for e in v) for v in verts))
     return Graph.from_edges(len(verts), edges, labels, action)
 
 
@@ -125,11 +118,11 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
         for b in range(nh):
             edges.append((a * nh + b, a2 * nh + b))
     labels = [f"({a},{b})" for a in range(g.n) for b in range(nh)]
-    ag, ah = _coordinates(g), _coordinates(h)
+    ag, ah = g.action, h.action
     action = None
-    if any(ag.symmetric + ah.symmetric):
+    if ag is not None and ah is not None:
         points = tuple(pa + pb for pa in ag.points for pb in ah.points)
-        action = GroundAction(ag.sizes + ah.sizes, ag.symmetric + ah.symmetric, points)
+        action = GroundAction(ag.sizes + ah.sizes, points)
     return Graph.from_edges(g.n * nh, edges, labels, action)
 
 
@@ -177,6 +170,6 @@ def line_graph(g: Graph) -> Graph:
     labels = ["{" + f"{u},{v}" + "}" for u, v in edge_list]
     a = g.action
     action = None
-    if a is not None and a.symmetric == (True,) and m == g.n * (g.n - 1) // 2:
-        action = _symmetric(a.sizes[0], (a.points[u][0] | a.points[v][0] for u, v in edge_list))
+    if a is not None and len(a.sizes) == 1 and m == g.n * (g.n - 1) // 2:
+        action = _sym(a.sizes[0], (a.points[u][0] | a.points[v][0] for u, v in edge_list))
     return Graph.from_edges(m, edges, labels, action)

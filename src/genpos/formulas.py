@@ -186,25 +186,13 @@ def gp_join(omega_g: int, omega_h: int, rho_g: int, rho_h: int) -> Prediction:
     return Prediction(True, value=max(omega_g + omega_h, rho_g, rho_h))
 
 
-def gp_corona(n_g: int, rho_h: int, n_h: int | None = None, rho_witness=None) -> Prediction:
-    """gp(G ∘ H) = n(G)·ρ(H) for n(G) >= 2.
-
-    When ``n_h`` and a ρ-witness of H are supplied, the witness places that
-    set inside every copy of H (copy i occupies ids n_g + i·n_h ..).
-    """
+def gp_corona(n_g: int, rho_h: int) -> Prediction:
+    """gp(G ∘ H) = n(G)·ρ(H) for n(G) >= 2."""
     if n_g < 2:
         return _na(f"needs n(G) >= 2, got {n_g}")
-    if (na := _negative(rho_h=rho_h, n_h=n_h)) is not None:
+    if (na := _negative(rho_h=rho_h)) is not None:
         return na
-    witness = None
-    if n_h is not None and rho_witness is not None:
-        rw = vertex_set(rho_witness, n_h)
-        if len(rw) != rho_h:
-            raise InputError(f"rho_witness has size {len(rw)}, expected {rho_h}")
-        witness = tuple(
-            sorted(n_g + i * n_h + j for i in range(n_g) for j in rw)
-        )
-    return Prediction(True, value=n_g * rho_h, witness=witness)
+    return Prediction(True, value=n_g * rho_h)
 
 
 def _edge_index(n: int, u: int, v: int) -> int:

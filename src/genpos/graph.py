@@ -44,14 +44,13 @@ class GroundAction:
     ``points[v][c]`` is the bitmask over coordinate c's ground set
     ``{0..sizes[c]-1}`` that vertex v stands for: the k-subset of a Kneser
     vertex, the two ends of an edge of K_n in L(K_n), the one vertex of a
-    factor in a Cartesian product. Where ``symmetric[c]`` holds, Sym(sizes[c])
-    permutes coordinate c's ground set; a rigid coordinate is never moved.
-    The claim that these permutations are automorphisms is checked by the
-    solver before it relies on it.
+    complete or edgeless factor in a Cartesian product. Sym(sizes[c])
+    permutes coordinate c's ground set, independently for each c. The claim
+    that these permutations are automorphisms is checked by the solver
+    before it relies on it.
     """
 
     sizes: tuple[int, ...]
-    symmetric: tuple[bool, ...]
     points: tuple[tuple[int, ...], ...]
 
 
@@ -129,16 +128,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
-
-    def adjacency_bits(self) -> list[int]:
-        """Per-vertex neighbor bitmask; the solvers' working representation."""
-        bits = [0] * self.n
-        for v, nbrs in enumerate(self.adj):
-            m = 0
-            for u in nbrs:
-                m |= 1 << u
-            bits[v] = m
-        return bits
 
     def label_of(self, v: int) -> str | None:
         return None if self.labels is None else self.labels[v]

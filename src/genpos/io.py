@@ -159,7 +159,9 @@ def loads_json(text: str) -> Graph:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
+        # e.pos counts characters; the offset a ParseError reports is in bytes
+        offset = len(text[: e.pos].encode("utf-8", "surrogatepass"))
+        raise ParseError(f"invalid JSON: {e.msg}", offset) from None
     return graph_from_json_dict(data)
 
 

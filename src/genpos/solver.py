@@ -44,25 +44,26 @@ deterministic.
 
 Orbit pruning. A graph built by a constructor may carry a ground-set action
 (:class:`~genpos.graph.GroundAction`): each vertex is a tuple of ground-set
-bitmasks, and Sym(ground) acts on every symmetric coordinate (Sym(n) on the
-k-subsets of {1..n} in K(n,k) and on the edges of K_n in L(K_n), Sym(q_i) on
+bitmasks, and Sym(ground) acts on every coordinate (Sym(n) on the k-subsets
+of {1..n} in K(n,k) and on the edges of K_n in L(K_n), Sym(q_i) on
 coordinate i of K_q1 □ ... □ K_qd).
 Before it uses one, the search checks inside its clock that a transposition
-and a full cycle of each symmetric coordinate's ground set, which generate
-its symmetric group, map vertices bijectively onto vertices and edges onto
-edges, in O(n + m) each; a failed check raises InputError. Graphs without an
-action, including every graph read from a file, run the plain search.
+and a full cycle of each coordinate's ground set, which generate
+Sym(ground), map vertices bijectively onto vertices and edges onto edges,
+in O(n + m) each; a failed check raises InputError. Graphs without an
+action, including every graph read from a file and every product with an
+action-free factor, run the plain search.
 
 The pointwise stabilizer Stab(S) of the chosen vertices permutes each cell
 of the ground sets freely, where a cell is a class of ground elements that
 lie in the same members of S. Each frame refines its parent's cells by the
 new vertex's masks, and a frame whose cells are all singletons (and every
 frame below it) has a stabilizer that moves nothing. Vertex z is in x's
-orbit under Stab(S) when it agrees with x on the rigid coordinates and
-|z_c & A| = |x_c & A| for every cell A of every symmetric coordinate c. The
-orbit is computed as one bitmask: with M[c][e] the vertices whose coordinate
-c holds e, a bit-sliced ripple-carry count of M[c][e] over e in A is
-compared with |x_c & A|, and the results are ANDed over the cells.
+orbit under Stab(S) when |z_c & A| = |x_c & A| for every cell A of every
+coordinate c. The orbit is computed as one bitmask: with M[c][e] the
+vertices whose coordinate c holds e, a bit-sliced ripple-carry count of
+M[c][e] over e in A is compared with |x_c & A|, and the results are ANDed
+over the cells.
 
 When the branch on x below S is done, x's whole orbit under Stab(S) leaves
 that frame's candidates; its members stay available inside x's own subtree.
@@ -264,15 +265,15 @@ def _check_action(g: Graph, clock: SearchClock) -> bool:
     """Raise InputError unless g.action acts by automorphisms; False once the
     deadline passes (checked once per generator, counting no node).
 
-    Per symmetric coordinate, each of :func:`_generators` must map every
-    vertex's point to a vertex's point and every edge to an edge; a
-    bijection of the vertices that keeps edges is an automorphism.
+    Per coordinate, each of :func:`_generators` must map every vertex's
+    point to a vertex's point and every edge to an edge; a bijection of the
+    vertices that keeps edges is an automorphism.
     """
     a = g.action
     if any(not isinstance(size, int) or size < 0 for size in a.sizes):
         raise InputError(f"ground action: sizes {a.sizes!r} must be nonnegative integers")
     d = len(a.sizes)
-    if len(a.symmetric) != d or len(a.points) != g.n:
+    if len(a.points) != g.n:
         raise InputError(f"ground action has {len(a.points)} points for n={g.n}")
     for v, p in enumerate(a.points):
         if (
@@ -285,7 +286,7 @@ def _check_action(g: Graph, clock: SearchClock) -> bool:
     if len(index) != g.n:
         raise InputError("ground action: two vertices share one point")
     for c, size in enumerate(a.sizes):
-        if not a.symmetric[c] or size < 2:
+        if size < 2:
             continue
         for move in _generators(size):
             if clock.expired():
@@ -307,34 +308,25 @@ def _check_action(g: Graph, clock: SearchClock) -> bool:
 
 
 def _orbit_tables(a: GroundAction, order: list[int]):
-    """The action in internal ids: (xs, M, same, root, ground).
+    """The action in internal ids: (xs, M, root, ground).
 
-    xs[i] holds internal vertex i's masks on the symmetric coordinates;
-    M[c][e] is the bitmask of the vertices whose c-th symmetric mask holds
-    ground element e; same[i] is the bitmask of the vertices that agree with
-    i on every rigid coordinate. root is the root frame's cells (one per
-    symmetric coordinate: its whole ground set), None when no cell can split,
-    and ground the number of cells once every cell is a singleton.
+    xs[i] holds internal vertex i's masks; M[c][e] is the bitmask of the
+    vertices whose c-th mask holds ground element e. root is the root
+    frame's cells (one per coordinate: its whole ground set), None when no
+    cell can split, and ground the number of cells once every cell is a
+    singleton.
     """
-    sym = [c for c, s in enumerate(a.symmetric) if s]
-    rigid = [c for c, s in enumerate(a.symmetric) if not s]
-    pts = [a.points[v] for v in order]
-    xs = [tuple(p[c] for c in sym) for p in pts]
-    M = [[0] * a.sizes[c] for c in sym]
+    xs = [a.points[v] for v in order]
+    M = [[0] * size for size in a.sizes]
     for i, xi in enumerate(xs):
         for Mc, m in zip(M, xi):
             for e in _iter_bits(m):
                 Mc[e] |= 1 << i
-    classes: dict[tuple, int] = {}
-    keys = [tuple(p[c] for c in rigid) for p in pts]
-    for i, key in enumerate(keys):
-        classes[key] = classes.get(key, 0) | 1 << i
-    same = [classes[key] for key in keys]
-    root = [[(1 << a.sizes[c]) - 1] if a.sizes[c] else [] for c in sym]
-    ground = sum(a.sizes[c] for c in sym)
+    root = [[(1 << size) - 1] if size else [] for size in a.sizes]
+    ground = sum(a.sizes)
     if ground == sum(map(len, root)):
         root = None
-    return xs, M, same, root, ground
+    return xs, M, root, ground
 
 
 def _refine(cells: list[list[int]], xm: tuple[int, ...], ground: int) -> list[list[int]] | None:
@@ -357,8 +349,7 @@ def _refine(cells: list[list[int]], xm: tuple[int, ...], ground: int) -> list[li
 
 def _orbit(C: int, xm: tuple[int, ...], cells: list[list[int]], M: list[list[int]]) -> int:
     """The members of C in x's orbit under Stab(S), for S with these cells:
-    the z with |z_c & A| == |x_c & A| for every cell A. C already holds only
-    vertices that agree with x on the rigid coordinates."""
+    the z with |z_c & A| == |x_c & A| for every cell A."""
     for row, xc, Mc in zip(cells, xm, M):
         for A in row:
             if not C:
@@ -394,12 +385,12 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
     if n == 0:
         return 0, ()
     bits, order = _degree_order(g)
-    xs = M = same = root = None
+    xs = M = root = None
     ground = 0
     if g.action is not None:
         if not _check_action(g, clock):
             return 0, ()
-        xs, M, same, root, ground = _orbit_tables(g.action, order)
+        xs, M, root, ground = _orbit_tables(g.action, order)
     blocked = _conflict_masks(bits, clock)
     if blocked is None:
         return 0, ()
@@ -432,7 +423,7 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
                         cells.pop()
                     C = stack[-1]
                     if len(chosen) < len(cells) and len(chosen) + C.bit_count() > best_size:
-                        stack[-1] = C & ~_orbit(C & same[x], xs[x], cells[-1], M)
+                        stack[-1] = C & ~_orbit(C, xs[x], cells[-1], M)
             continue
         xbit = C & -C
         C ^= xbit
@@ -456,7 +447,7 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
         else:
             chosen.pop()
             if cells and len(chosen) < len(cells) and len(chosen) + C.bit_count() > best_size:
-                stack[-1] = C & ~_orbit(C & same[x], xs[x], cells[-1], M)
+                stack[-1] = C & ~_orbit(C, xs[x], cells[-1], M)
     return best_size, _to_original(best, order)
 
 

@@ -130,10 +130,7 @@ def symmetric_named():
         "K5xK5": hamming(5, 5),
         "K2xK2xK3": hamming(2, 2, 3),
         "Q4": hamming(2, 2, 2, 2),
-        "K3xC4": cartesian_product(complete(3), cycle(4)),  # one rigid coordinate
-        "P3xK3": cartesian_product(path(3), complete(3)),
-        "K2xC5": cartesian_product(complete(2), cycle(5)),
-        "E2xP3": cartesian_product(edgeless(2), path(3)),  # disconnected
+        "E2xK3": cartesian_product(edgeless(2), complete(3)),  # disconnected
         "K(5,2)xK2": cartesian_product(kneser(5, 2), complete(2)),
         "L(K4)xK2": cartesian_product(line_graph(complete(4)), complete(2)),
     }

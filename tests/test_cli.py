@@ -206,6 +206,14 @@ def test_non_utf8_graph_file_exits_2(runner, tmp_path, cmd):
     assert "non-ASCII byte" in res.output
 
 
+def test_json_error_names_the_byte_offset(runner, tmp_path):
+    p = tmp_path / "labels.json"
+    p.write_bytes('{"n": 1, "labels": ["éé"], }'.encode("utf-8"))
+    res = runner.invoke(main, ["gp", "--graph", str(p)])
+    assert res.exit_code == 2
+    assert "byte offset 29" in res.output
+
+
 def test_check_set_agreement(runner, petersen_file):
     res = runner.invoke(main, ["check-set", "--graph", petersen_file, "--set", "0,1,2"])
     rec = json.loads(res.output)

@@ -9,7 +9,6 @@ from genpos import (
     cartesian_product,
     cartesian_witness,
     complete,
-    corona,
     cycle,
     distances,
     edgeless,
@@ -203,19 +202,6 @@ def test_gp_corona_values():
     assert not gp_corona(1, 3).applicable
     assert gp_corona(2, 1).value == 2
     assert gp_corona(3, 2).value == 6
-
-
-def test_gp_corona_witness():
-    pred = gp_corona(3, 2, n_h=3, rho_witness=(0, 2))
-    assert len(pred.witness) == 6
-    g = corona(path(3), path(3))
-    assert _validates(g, pred.witness)
-    assert gp_exact(g).value == 6  # witness is extremal here
-
-
-def test_gp_corona_witness_size_checked():
-    with pytest.raises(InputError):
-        gp_corona(3, 2, n_h=3, rho_witness=(0, 1, 2))
 
 
 # --- line graphs of K_n ----------------------------------------------------------------

@@ -71,11 +71,6 @@ def test_basic_accessors():
         g.neighbors(4)
 
 
-def test_adjacency_bits():
-    g = path(3)
-    assert g.adjacency_bits() == [0b010, 0b101, 0b010]
-
-
 def test_distances_path_and_cycle():
     dm = distances(path(4))
     assert dm.dist(0, 3) == 3

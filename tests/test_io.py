@@ -119,9 +119,17 @@ def test_json_validation():
 
 
 def test_loads_json_reports_offset():
-    with pytest.raises(ParseError) as e:
-        loads_json('{"n": 2, }')
-    assert e.value.offset == 9
+    cases = [
+        ('{"n": 2, }', 9),
+        # each é is two bytes: the stray "}" is character 27 but byte 29
+        ('{"n": 1, "labels": ["éé"], }', 29),
+        # a lone surrogate, possible only through the Python API, counts 3
+        ('{"a": "\ud800", }', 13),
+    ]
+    for text, offset in cases:
+        with pytest.raises(ParseError) as e:
+            loads_json(text)
+        assert e.value.offset == offset, text
 
 
 def test_file_round_trip_both_formats(tmp_path):

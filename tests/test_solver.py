@@ -31,6 +31,7 @@ from genpos import (
     rho,
 )
 from genpos.budget import SearchClock
+from genpos.invariants import _degree_order
 from genpos.solver import _conflict_masks
 
 import corpus
@@ -161,12 +162,16 @@ def test_deep_search_on_large_clique():
 @example(disjoint_union(disjoint_union(path(4), complete(1)), cycle(5)))
 @example(disjoint_union(complete(3), complete(2)))
 def test_conflict_masks_match_definition(g):
-    # level-built masks against a triple scan of the distance matrix
+    # level-built masks, on the bits the search uses, against a triple scan
+    # of the distance matrix; internal vertex i is order[i]
     d = distances(g).d
-    blocked = _conflict_masks(g.adjacency_bits(), SearchClock())
+    bits, order = _degree_order(g)
+    blocked = _conflict_masks(bits, SearchClock())
     for a, b in itertools.permutations(range(g.n), 2):
         want = sum(
-            1 << y for y in range(g.n) if y not in (a, b) and oracles.violating(d, a, b, y)
+            1 << y
+            for y in range(g.n)
+            if y not in (a, b) and oracles.violating(d, order[a], order[b], order[y])
         )
         assert blocked[a][b] == want, (a, b)
 

@@ -46,10 +46,10 @@ SYMMETRIC = corpus.symmetric_named()
 
 def test_constructors_attach_actions():
     assert kneser(5, 2).action.points[0] == (0b00011,)  # {1,2}
-    assert complete(3).action == GroundAction((3,), (True,), ((1,), (2,), (4,)))
+    assert complete(3).action == GroundAction((3,), ((1,), (2,), (4,)))
     assert line_graph(complete(4)).action.points[0] == (0b0011,)  # the edge {0,1}
-    a = cartesian_product(complete(2), cycle(3)).action
-    assert (a.sizes, a.symmetric) == ((2, 3), (True, False))
+    a = cartesian_product(complete(2), complete(3)).action
+    assert a.sizes == (2, 3)
     assert a.points[4] == (0b10, 0b010)  # vertex (1, 1)
 
 
@@ -58,12 +58,14 @@ def test_constructors_attach_actions():
     [
         path(4),
         cycle(5),
-        cartesian_product(cycle(4), path(3)),  # every coordinate rigid
+        cartesian_product(cycle(4), path(3)),  # neither factor has an action
         line_graph(cycle(5)),
         line_graph(kneser(5, 2)),  # the input is not complete
         join(complete(2), complete(2)),
         disjoint_union(complete(2), complete(2)),
         corona(complete(2), complete(1)),
+        cartesian_product(complete(3), cycle(4)),  # one factor has an action
+        cartesian_product(path(3), kneser(5, 2)),
     ],
 )
 def test_other_graphs_have_no_action(g):
@@ -100,14 +102,14 @@ def test_action_of_another_labelling_is_refused():
     "g,action",
     [
         (cycle(5), complete(5).action),  # (0 1) maps the edge 1-2 to 0-2
-        (edgeless(3), GroundAction((3,), (True,), ((1,), (1,), (2,)))),  # shared point
-        (edgeless(2), GroundAction((1,), (True,), ((1,), (2,)))),  # outside the ground set
-        (edgeless(3), GroundAction((3,), (True,), ((1,), (2,)))),  # too few points
-        (edgeless(2), GroundAction((2,), (True, False), ((1,), (2,)))),  # flags != sizes
-        (path(2), GroundAction((3,), (True,), ((1,), (2,)))),  # (0 1 2) maps vertex 1 to no vertex
-        (edgeless(1), GroundAction((-1,), (True,), ((0,),))),  # negative size
-        (edgeless(2), GroundAction((2,), (True,), (1, 2))),  # int points, not tuples
-        (edgeless(2), GroundAction((2.0,), (True,), ((1,), (2,)))),  # non-int size
+        (edgeless(3), GroundAction((3,), ((1,), (1,), (2,)))),  # shared point
+        (edgeless(2), GroundAction((1,), ((1,), (2,)))),  # outside the ground set
+        (edgeless(3), GroundAction((3,), ((1,), (2,)))),  # too few points
+        (edgeless(2), GroundAction((2,), ((1, 1), (2, 1)))),  # two masks for one ground set
+        (path(2), GroundAction((3,), ((1,), (2,)))),  # (0 1 2) maps vertex 1 to no vertex
+        (edgeless(1), GroundAction((-1,), ((0,),))),  # negative size
+        (edgeless(2), GroundAction((2,), (1, 2))),  # int points, not tuples
+        (edgeless(2), GroundAction((2.0,), ((1,), (2,)))),  # non-int size
     ],
 )
 def test_wrong_action_raises(g, action):
@@ -124,23 +126,14 @@ def test_check_runs_inside_the_budget():
 
 
 def _group(a):
-    """Every element of the acting group, as a tuple of ground permutations
-    (None on a rigid coordinate)."""
-    per_coord = [
-        itertools.permutations(range(size)) if sym else [None]
-        for size, sym in zip(a.sizes, a.symmetric)
-    ]
-    return itertools.product(*map(list, per_coord))
+    """Every element of the acting group, as a tuple of ground permutations."""
+    return itertools.product(*(list(itertools.permutations(range(size))) for size in a.sizes))
 
 
 def _apply(pi, point):
-    out = []
-    for perm, m in zip(pi, point):
-        if perm is None:
-            out.append(m)
-        else:
-            out.append(sum(1 << perm[e] for e in range(len(perm)) if m >> e & 1))
-    return tuple(out)
+    return tuple(
+        sum(1 << perm[e] for e in range(len(perm)) if m >> e & 1) for perm, m in zip(pi, point)
+    )
 
 
 ORBIT_GRAPHS = [
@@ -153,8 +146,7 @@ ORBIT_GRAPHS = [
     ("K3xK3", corpus.hamming(3, 3)),
     ("K2xK4", corpus.hamming(2, 4)),
     ("K2xK2xK3", corpus.hamming(2, 2, 3)),
-    ("K3xC4", cartesian_product(complete(3), cycle(4))),
-    ("P2xK3xK2", cartesian_product(cartesian_product(path(2), complete(3)), complete(2))),
+    ("K2xK3xK2", corpus.hamming(2, 3, 2)),
 ]
 
 
@@ -165,7 +157,7 @@ def test_orbit_masks_equal_brute_force_orbits(name, g):
     images = [[index[_apply(pi, p)] for p in a.points] for pi in _group(a)]
     _, order = _degree_order(g)
     pos = {v: i for i, v in enumerate(order)}
-    xs, M, same, root, ground = _orbit_tables(a, order)
+    xs, M, root, ground = _orbit_tables(a, order)
     rng = random.Random(name)
     prefixes = [()] + [tuple(rng.sample(range(g.n), rng.randint(1, 3))) for _ in range(12)]
     for S in prefixes:
@@ -180,7 +172,7 @@ def test_orbit_masks_equal_brute_force_orbits(name, g):
             if cells is None:
                 got = {x}
             else:
-                mask = _orbit(((1 << g.n) - 1) & same[i], xs[i], cells, M)
+                mask = _orbit((1 << g.n) - 1, xs[i], cells, M)
                 got = {order[j] for j in range(g.n) if mask >> j & 1}
             assert got == want, (S, x)
 
@@ -208,7 +200,7 @@ def test_pruned_search_on_relabelled_copies(name, g):
         points = [None] * g.n
         for v, p in enumerate(g.action.points):
             points[perm[v]] = p
-        action = GroundAction(g.action.sizes, g.action.symmetric, tuple(points))
+        action = GroundAction(g.action.sizes, tuple(points))
         h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], action=action)
         res = gp_exact(h)
         assert (res.value, res.status) == (want, EXACT)
@@ -217,8 +209,13 @@ def test_pruned_search_on_relabelled_copies(name, g):
 
 # --- an oracle that shares no code with the search ------------------------------------
 
-# every symmetric corpus graph (n <= 35), plus larger ones up to n = 56
+# every symmetric corpus graph (n <= 35), products with an action-free
+# factor, and larger graphs up to n = 56
 ILP_GRAPHS = SYMMETRIC + [
+    ("K3xC4", cartesian_product(complete(3), cycle(4))),
+    ("P3xK3", cartesian_product(path(3), complete(3))),
+    ("K2xC5", cartesian_product(complete(2), cycle(5))),
+    ("E2xP3", cartesian_product(edgeless(2), path(3))),  # disconnected
     ("K(8,3)", kneser(8, 3)),
     ("L(K8)", line_graph(complete(8))),
     ("K6xK6", corpus.hamming(6, 6)),
