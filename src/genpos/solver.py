@@ -35,12 +35,32 @@ when it runs out before the search starts, the result is the empty set with
 status "lower-bound".
 
 The search runs on an explicit stack, so its depth is not bounded by
-Python's recursion limit. The candidate set shrinks by O(|S|) mask
-operations per extension and stays exactly the set of vertices that keep S
+Python's recursion limit. Each frame, with chosen prefix S, holds its
+candidates C, the vertices not yet branched on that each keep S plus itself
 in general position (general position is hereditary, so this pruning is
-lossless). Branching follows descending degree (ties by id) and the
-incumbent is replaced only on strict improvement, so exact results are
-deterministic.
+lossless), and a conflict table: P_S[y], for y in C, is the OR over s in S
+of the masks of the pairs (y, s), the vertices z that some member of S
+makes collinear with y. Branching on x kills P_S[x]; the child's table is
+P_S[y] | mask(x, y) over the surviving candidates, one operation per
+candidate.
+
+Two candidates y and z conflict below S when z is in P_S[y]. A general
+position set T that extends S inside S + C holds no conflicting pair, so it
+holds at most one vertex of each clique of the conflict graph, and |S| plus
+the number of cliques in any clique cover of C bounds |T|. This is the
+colouring bound of maximum-clique search (Tomita & Seki, DMTCS 2003) on the
+conflict graph's complement. The cover is greedy: each clique starts at the
+lowest vertex left and absorbs, lowest first, the vertices left that
+conflict with every vertex taken so far. It is built for each child, with
+room the number of vertices the child may add before it only ties the
+incumbent, and it stops as soon as the answer is known: once its cliques
+have absorbed |C| - room vertices beyond their first (it fits), or once
+room cliques are open with vertices still unabsorbed (it does not). The
+vertices it takes get their entries of the child's table on the way. A
+child whose cover fits is not opened: x's branch is done, exactly as if no
+candidate had survived, and no set in it beats the incumbent. Branching follows
+descending degree (ties by id) and the incumbent is replaced only on strict
+improvement, so exact results are deterministic.
 
 Orbit pruning. A graph built by a constructor may carry a ground-set action
 (:class:`~genpos.graph.GroundAction`): each vertex is a tuple of ground-set
@@ -75,9 +95,12 @@ with the new choice, a set that Stab(S + x) keeps; and a frame only ever
 adds whole orbits. So for any general position set T that contains S and a
 member y of x's orbit and avoids X, the image of T under a stabilizer
 element taking y to x contains S and x and avoids X: it lies in x's
-subtree, which has already been searched. By the same argument, pruning
-never removes the first maximum set in search order, so value, witness and
-status are those of the plain search; only the node count falls.
+subtree, which has already been searched. A child closed by its cover
+counts as searched: its subtree holds no set larger than the incumbent, so
+neither does the orbit it sends away. By the same argument, and because a
+bound only closes subtrees that cannot strictly beat the incumbent, neither
+pruning removes the first maximum set in search order: value, witness and
+status are those of the search without them; only the node count falls.
 
 Disconnected inputs are handled by the same definition under the infinity
 semantics above — no component decomposition is attempted. This reproduces
@@ -380,6 +403,37 @@ def _orbit(C: int, xm: tuple[int, ...], cells: list[list[int]], M: list[list[int
     return C
 
 
+def _cover(C: int, P: list[int], bx: list[int], room: int, Q: list[int]) -> int:
+    """Greedy clique cover of C's conflict graph, y and z conflicting when
+    z is in P[y] | bx[y] (see the module docstring).
+
+    Stores Q[y] = P[y] | bx[y] for every vertex it takes. Returns 0 when
+    the cover has at most room cliques, else the vertices it has not taken,
+    never 0. spare counts the vertices the cliques must still absorb beyond
+    their first for the cover to fit.
+    """
+    spare = C.bit_count() - room
+    if spare <= 0:
+        return 0
+    while room:
+        room -= 1
+        low = C & -C
+        C ^= low
+        y = low.bit_length() - 1
+        Q[y] = q = P[y] | bx[y]
+        K = C & q
+        while K:
+            spare -= 1
+            if not spare:
+                return 0
+            low = K & -K
+            C ^= low
+            y = low.bit_length() - 1
+            Q[y] = q = P[y] | bx[y]
+            K &= q
+    return C
+
+
 def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
     n = g.n
     if n == 0:
@@ -399,15 +453,17 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
 
     # Depth-first search on an explicit stack: stack[i] holds the candidates
     # not yet branched on below chosen[:i], each of which keeps chosen[:i]
-    # plus itself in general position. cells[i] holds the cells of the
-    # ground sets that Stab(chosen[:i]) permutes; a frame deeper than
-    # len(cells) - 1 has a stabilizer that moves nothing, and so do all
-    # frames below it. When the branch on x below chosen[:i] is done, x's
-    # whole orbit under that stabilizer leaves stack[i]. len(chosen) never
-    # exceeds best_size.
+    # plus itself in general position, and tables[i][y], for y in stack[i],
+    # the vertices z that some s in chosen[:i] makes collinear with y.
+    # cells[i] holds the cells of the ground sets that Stab(chosen[:i])
+    # permutes; a frame deeper than len(cells) - 1 has a stabilizer that
+    # moves nothing, and so do all frames below it. When the branch on x
+    # below chosen[:i] is done, x's whole orbit under that stabilizer leaves
+    # stack[i]. len(chosen) never exceeds best_size.
     tick = clock.tick
     chosen: list[int] = []
     stack = [(1 << n) - 1]
+    tables = [[0] * n]
     cells = [] if root is None else [root]
     while stack:
         C = stack[-1]
@@ -416,6 +472,7 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
         if len(chosen) + C.bit_count() <= best_size:
             # frame done: undo the choice that opened it
             stack.pop()
+            tables.pop()
             if chosen:
                 x = chosen.pop()
                 if cells:
@@ -429,22 +486,32 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
         C ^= xbit
         stack[-1] = C
         x = xbit.bit_length() - 1
-        bx = blocked[x]
-        kill = 0
-        for s in chosen:
-            kill |= bx[s]
+        P = tables[-1]
+        newC = C & ~P[x]
         chosen.append(x)
         if len(chosen) > best_size:
             best_size = len(chosen)
             best = chosen.copy()
-        newC = C & ~kill
-        if newC:
+        bx = blocked[x]
+        Q = P.copy()
+        todo = _cover(newC, P, bx, best_size - len(chosen), Q)
+        if todo:
+            # some set below chosen may beat the incumbent: open the child
+            # frame, its table completed over the vertices the cover left
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                y = low.bit_length() - 1
+                Q[y] = P[y] | bx[y]
             stack.append(newC)
+            tables.append(Q)
             if cells and len(chosen) == len(cells):
                 sub = _refine(cells[-1], xs[x], ground)
                 if sub is not None:
                     cells.append(sub)
         else:
+            # no set below chosen beats the incumbent, so x's branch is done,
+            # as if newC were empty
             chosen.pop()
             if cells and len(chosen) < len(cells) and len(chosen) + C.bit_count() > best_size:
                 stack[-1] = C & ~_orbit(C, xs[x], cells[-1], M)

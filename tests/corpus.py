@@ -29,6 +29,15 @@ def random_graph(n, p, rng):
     return Graph.from_edges(n, edges)
 
 
+def connected_random(n, p, seed):
+    """The first connected G(n, p) drawn from the seed."""
+    rng = random.Random(seed)
+    while True:
+        g = random_graph(n, p, rng)
+        if is_connected(g):
+            return g
+
+
 def connected_corpus(count=200, max_n=7, seed=20260826):
     rng = random.Random(seed)
     out = []

@@ -99,6 +99,17 @@ def gp_enum_slow(n, edges):
     return 0, ()
 
 
+def largest_extension(d, s, c):
+    """Largest general position T with s <= T <= s + c, by a top-down scan
+    of the subsets of c (|c| <= ~12); None when s itself is not in general
+    position."""
+    for r in range(len(c), -1, -1):
+        for combo in itertools.combinations(c, r):
+            if is_gp(d, tuple(s) + combo):
+                return tuple(s) + combo
+    return None
+
+
 def _adj_matrix(n, edges):
     a = [[False] * n for _ in range(n)]
     for u, v in edges:

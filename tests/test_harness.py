@@ -96,9 +96,9 @@ def test_not_applicable_point():
 
 
 def test_timeout_verdict_not_mismatch():
-    # 100 nodes: the incumbent already equals the prediction but the search
+    # 40 nodes: the incumbent already equals the prediction but the search
     # is unfinished, so the verdict must be timeout, never mismatch
-    reports = run_verify("thm2.4", [{"n": 7}], budget=Budget(max_nodes=100))
+    reports = run_verify("thm2.4", [{"n": 7}], budget=Budget(max_nodes=40))
     assert reports[0].verdict == "timeout"
     assert reports[0].computed.status == "lower-bound"
     assert reports[0].computed.value == 15

@@ -15,6 +15,7 @@ from genpos import (
     cartesian_product,
     characterization_check,
     complete,
+    corona,
     cycle,
     disjoint_union,
     distances,
@@ -32,7 +33,7 @@ from genpos import (
 )
 from genpos.budget import SearchClock
 from genpos.invariants import _degree_order
-from genpos.solver import _conflict_masks
+from genpos.solver import _conflict_masks, _cover
 
 import corpus
 import oracles
@@ -108,12 +109,13 @@ def test_empty_graph():
 @pytest.mark.parametrize(
     "g,value,nodes",
     [
-        (corpus.action_free(kneser(7, 3)), 15, 6569),
-        (cartesian_product(cycle(6), cycle(6)), 6, 8850),
+        pytest.param(corpus.action_free(kneser(7, 3)), 15, 838, id="K(7,3)-action-free"),  # 6,569
+        pytest.param(cartesian_product(cycle(6), cycle(6)), 6, 799, id="C6xC6"),  # 8,850
     ],
 )
 def test_node_counts_pinned(g, value, nodes):
-    # any change to the search tree (order, bound, masks) moves these counts
+    # any change to the search tree (order, bound, masks) moves these counts;
+    # the comments give them with |chosen| + |candidates| as the only bound
     res = gp_exact(g)
     assert (res.value, res.status, res.nodes_explored) == (value, EXACT, nodes)
 
@@ -121,22 +123,50 @@ def test_node_counts_pinned(g, value, nodes):
 @pytest.mark.parametrize(
     "g,value,nodes",
     [
-        (kneser(8, 3), 21, 14067),  # 1,419,313 unpruned
-        (line_graph(complete(12)), 12, 246),  # 13,919,095 unpruned
-        (cartesian_product(complete(7), complete(7)), 12, 490),  # 3,982,281 unpruned
+        pytest.param(kneser(8, 3), 21, 1272, id="K(8,3)"),  # 47,963; 1,419,313
+        pytest.param(line_graph(complete(12)), 12, 114, id="L(K12)"),  # 1,529,860; 13,919,095
+        pytest.param(cartesian_product(complete(7), complete(7)), 12, 192, id="K7xK7"),  # 375,607; 3,982,281
     ],
 )
 def test_pruned_node_counts_pinned(g, value, nodes):
-    # the orbit pruning's tree: any change to the cells or the orbits moves these
+    # the orbit pruning's tree: any change to the cells or the orbits moves
+    # these; the comments give them without the action, then without the
+    # action and with |chosen| + |candidates| as the only bound
     res = gp_exact(g)
     assert (res.value, res.status, res.nodes_explored) == (value, EXACT, nodes)
 
 
-@pytest.mark.stretch
+@pytest.mark.parametrize(
+    "g,witness",
+    [
+        pytest.param(corpus.action_free(kneser(7, 3)), tuple(range(15)), id="K(7,3)-action-free"),
+        pytest.param(cartesian_product(cycle(6), cycle(6)), (0, 3, 13, 16, 26, 29), id="C6xC6"),
+        pytest.param(cartesian_product(path(10), path(10)), (2, 11, 13, 22), id="P10xP10"),
+        pytest.param(
+            corona(cycle(10), path(4)),
+            (
+                10, 11, 13, 14, 15, 17, 18, 19, 21, 22, 23, 25, 26, 27, 29,
+                30, 31, 33, 34, 35, 37, 38, 39, 41, 42, 43, 45, 46, 47, 49,
+            ),
+            id="corona(C10,P4)",
+        ),
+    ],
+)
+def test_witnesses_pinned(g, witness):
+    # the first maximum set in branching order; the bounds cut only subtrees
+    # that cannot beat the incumbent, so no bound may move it
+    res = gp_exact(g)
+    assert (res.witness, res.status) == (witness, EXACT)
+
+
 def test_kneser_9_4_exact():
     # no closed form covers K(9,4) (n < 3k - 1); the pruned search settles it
     res = gp_exact(kneser(9, 4))
     assert (res.value, res.status) == (26, EXACT)
+    assert res.witness == (
+        0, 1, 2, 3, 4, 5, 36, 37, 38, 39, 52, 53, 54, 55,
+        75, 76, 77, 84, 85, 86, 98, 99, 100, 101, 102, 103,
+    )
     assert is_general_position(distances(kneser(9, 4)), res.witness)
 
 
@@ -174,6 +204,43 @@ def test_conflict_masks_match_definition(g):
             if y not in (a, b) and oracles.violating(d, order[a], order[b], order[y])
         )
         assert blocked[a][b] == want, (a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=10), st.randoms(use_true_random=False))
+def test_clique_cover_bounds_every_extension(g, rnd):
+    # for general position sets S and the vertices C that each keep it in
+    # general position, the cover never fits in less room than the largest
+    # general position T with S <= T <= S + C needs beyond S. The table is
+    # built as the search keeps it, with S's last vertex x split off; T comes
+    # from enumeration over Floyd-Warshall distances. Internal vertex i is
+    # order[i].
+    n = g.n
+    bits, order = _degree_order(g)
+    blocked = _conflict_masks(bits, SearchClock())
+    d = oracles.dist_matrix(n, list(g.edges()))
+    d = [[d[order[i]][order[j]] for j in range(n)] for i in range(n)]
+    for _ in range(4):
+        S = []
+        for v in rnd.sample(range(n), rnd.randint(0, n)):
+            if oracles.is_gp(d, S + [v]):
+                S.append(v)
+        C = [v for v in range(n) if v not in S and oracles.is_gp(d, S + [v])]
+        need = len(oracles.largest_extension(d, S, C)) - len(S)
+        P, bx = [0] * n, [0] * n
+        if S:
+            *rest, x = S
+            bx = blocked[x]
+            for s in rest:
+                P = [p | b for p, b in zip(P, blocked[s])]
+        mask = sum(1 << v for v in C)
+        for room in range(need):
+            Q = [None] * n
+            left = _cover(mask, P, bx, room, Q)
+            assert left and left & ~mask == 0, (S, room)
+            # every vertex the cover took has its entry of the child's table
+            assert all(Q[y] == P[y] | bx[y] for y in C if not left >> y & 1)
+        assert _cover(mask, P, bx, len(C), [None] * n) == 0
 
 
 # --- budgets ------------------------------------------------------------------

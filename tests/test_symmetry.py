@@ -210,7 +210,8 @@ def test_pruned_search_on_relabelled_copies(name, g):
 # --- an oracle that shares no code with the search ------------------------------------
 
 # every symmetric corpus graph (n <= 35), products with an action-free
-# factor, and larger graphs up to n = 56
+# factor, larger graphs up to n = 56, and graphs with no action, where the
+# clique cover does all the pruning
 ILP_GRAPHS = SYMMETRIC + [
     ("K3xC4", cartesian_product(complete(3), cycle(4))),
     ("P3xK3", cartesian_product(path(3), complete(3))),
@@ -221,6 +222,9 @@ ILP_GRAPHS = SYMMETRIC + [
     ("K6xK6", corpus.hamming(6, 6)),
     ("C6xC6", cartesian_product(cycle(6), cycle(6))),
     ("Q5", corpus.hamming(2, 2, 2, 2, 2)),
+    ("corona(C10,P4)", corona(cycle(10), path(4))),
+    ("G(30,0.2)", corpus.connected_random(30, 0.2, 30)),
+    ("G(36,0.15)", corpus.connected_random(36, 0.15, 36)),
 ]
 
 
