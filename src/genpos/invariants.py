@@ -16,15 +16,13 @@ proofs that rely on η. The two public names therefore run one search and
 share one predicate (:func:`is_cluster_set`); the test suite checks η = ρ
 against brute-force oracles written separately for each definition.
 
-Both searches have the loop shape of the gp search in :mod:`genpos.solver`:
-depth-first on an explicit stack, so Python's recursion limit does not bound
-their depth. An ω frame holds a coloured candidate set; a ρ frame holds the
-candidates not yet branched on. ρ keeps no component list: every candidate
-sees none of the chosen set S or exactly one of its cliques, so when x joins
-S a candidate dies if it sees just one of x and the clique x joins (``bx ^
-near``, with ``near`` the union of the neighbourhoods of x's neighbours in
-S) or, when x starts a clique, if it sees x and another clique (``bx &
-far``, with ``far`` the union over the rest of S).
+ρ is the gp search of :mod:`genpos.solver` on other masks: its loop looks
+for a largest vertex set with no forbidden triple, and for ρ a triple is
+forbidden when it induces a P_3. So ρ inherits the gp search's clique-cover
+bound and orbit pruning (automorphisms keep induced P_3s), its explicit
+stack, and its n × n mask table, so ρ takes O(n²) memory. ω runs its own
+loop, also depth-first on an explicit stack, so Python's recursion limit
+bounds no search's depth.
 
 All searches are deterministic: vertices are branched in descending-degree
 order (ties by id) and the incumbent is replaced only on strict improvement,
@@ -39,36 +37,7 @@ from __future__ import annotations
 
 from .budget import Budget, GpResult, SearchClock
 from .graph import Graph, VertexSet, complement, connected_components, induced_subgraph
-
-
-def _iter_bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
-def _degree_order(g: Graph) -> tuple[list[int], list[int]]:
-    """Relabel by descending degree (ties by id).
-
-    Returns (bits, order) where order[i] is the original id of internal
-    vertex i and bits is the internal-id adjacency bitmask list.
-    """
-    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    bits = [0] * g.n
-    for v in range(g.n):
-        m = 0
-        for u in g.adj[v]:
-            m |= 1 << pos[u]
-        bits[pos[v]] = m
-    return bits, order
-
-
-def _to_original(internal, order: list[int]) -> VertexSet:
-    return tuple(sorted(order[i] for i in internal))
+from .solver import _degree_order, _iter_bits, _run_gp, _to_original
 
 
 # --- maximum clique ---------------------------------------------------------
@@ -155,56 +124,25 @@ def is_cluster_set(g: Graph, members) -> bool:
     return all(len(h.adj[v]) == len(comp) - 1 for comp in connected_components(h) for v in comp)
 
 
-def _run_cluster(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
-    """Largest S with g[S] a disjoint union of cliques."""
-    bits, order = _degree_order(g)
-    best: list[int] = []
-    best_size = 0
-
-    # The loop shape of solver._run_gp: stack[i] holds the candidates not yet
-    # branched on below chosen[:i], each of which sees none of chosen[:i] or
-    # exactly one of its cliques. len(chosen) never exceeds best_size.
-    tick = clock.tick
-    chosen: list[int] = []
-    stack = [(1 << g.n) - 1]
-    while stack:
-        C = stack[-1]
-        if C and not tick():
-            break
-        if len(chosen) + C.bit_count() <= best_size:
-            stack.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        xbit = C & -C
-        C ^= xbit
-        stack[-1] = C
-        x = xbit.bit_length() - 1
-        bx = bits[x]
-        near = far = 0
-        for s in chosen:
-            if bx >> s & 1:
-                near |= bits[s]
-            else:
-                far |= bits[s]
-        chosen.append(x)
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best = chosen.copy()
-        # x joins the clique it sees, or starts a new one: a candidate must
-        # see x and that clique both or neither, or not see x and a clique
-        newC = C & ~(bx ^ near if near else bx & far)
-        if newC:
-            stack.append(newC)
-        else:
-            chosen.pop()
-    return best_size, _to_original(best, order)
+def _p3_masks(bits: list[int], clock: SearchClock) -> list[list[int]] | None:
+    """blocked[a][b]: bitmask of the y with {a, b, y} inducing a P_3, i.e.
+    spanning two edges: N(a) ^ N(b) without a and b when a ~ b, else
+    N(a) & N(b). On closed neighbourhoods N[v] these are N[a] ^ N[b] and
+    N[a] & N[b]. None once the deadline passes (checked once per source
+    row, counting no node)."""
+    closed = [nb | 1 << b for b, nb in enumerate(bits)]
+    blocked = []
+    for a, ca in enumerate(closed):
+        if clock.expired():
+            return None
+        blocked.append([ca ^ cb if ca >> b & 1 else ca & cb for b, cb in enumerate(closed)])
+    return blocked
 
 
 def rho(g: Graph, budget: Budget | None = None) -> GpResult:
     """ρ(g): maximum vertices covered by pairwise independent cliques."""
     clock = SearchClock(budget)
-    return clock.result(*_run_cluster(g, clock), "rho")
+    return clock.result(*_run_gp(g, clock, _p3_masks), "rho")
 
 
 def eta(g: Graph, budget: Budget | None = None) -> GpResult:

@@ -14,22 +14,27 @@ of G[S] are cliques whose vertex sets form a distance-constant, in-transitive
 partition.
 
 ``gp_exact`` is the one gp search, for graphs of every diameter;
-``gp_auto`` is another name for the same function. It uses no theorem about
-gp, so comparing it on diameter-2 graphs with max{ω, η} and ρ from
-:mod:`genpos.invariants` tests the paper's gp = max{ω, η} = ρ by two
-independent computations. It runs a depth-first branch and bound over
-conflict masks: for every vertex pair (a, b), the bitmask of the third
-vertices y that make {a, b, y} collinear.
+``gp_auto`` is another name for the same function. Its loop looks for a
+largest vertex set with no forbidden triple, and it sees the triples only
+through masks: for every vertex pair (a, b), the bitmask of the third
+vertices y that make {a, b, y} forbidden. ``gp_exact`` passes the conflict
+masks, where a triple is forbidden when it is collinear;
+:func:`genpos.invariants.rho` (and so η) passes the induced-P3 masks. The
+two searches share the loop and differ only in their masks. The gp masks
+use no theorem about gp, so comparing ``gp_exact`` on diameter-2 graphs with
+max{ω, η} and ρ tests the paper's gp = max{ω, η} = ρ through two mask
+builders; the loop they share is checked by the integer-program oracles of
+the test suite, which share no code with it.
 
-The masks are built from distance levels, with no distance matrix. A bitset
-BFS from each vertex a gives L_a[k], the vertices at distance k from a. For
-a pair at finite distance d, a vertex y is collinear with a and b exactly
-when it lies between them (L_a[k] & L_b[d-k], 0 < k < d), beyond b
+The conflict masks are built from distance levels, with no distance matrix.
+A bitset BFS from each vertex a gives L_a[k], the vertices at distance k
+from a. For a pair at finite distance d, a vertex y is collinear with a and
+b exactly when it lies between them (L_a[k] & L_b[d-k], 0 < k < d), beyond b
 (L_b[k] & L_a[d+k], k >= 1) or beyond a (L_a[k] & L_b[d+k], k >= 1); the
-mask is the OR of these three parts. A vertex outside a's component is in
-no L_a[k], so pairs at infinite distance keep mask 0 and no mask holds a
-vertex of another component: the infinity rule above. The whole precompute
-is O(n^2 * diam) big-int operations. Both passes check the deadline once per
+mask is the OR of these three parts. A vertex outside a's component is in no
+L_a[k], so pairs at infinite distance keep mask 0 and no mask holds a vertex
+of another component: the infinity rule above. The whole precompute is
+O(n^2 * diam) big-int operations. Both passes check the deadline once per
 source vertex, so a ``max_ms`` budget covers precompute as well as search;
 when it runs out before the search starts, the result is the empty set with
 status "lower-bound".
@@ -37,29 +42,29 @@ status "lower-bound".
 The search runs on an explicit stack, so its depth is not bounded by
 Python's recursion limit. Each frame, with chosen prefix S, holds its
 candidates C, the vertices not yet branched on that each keep S plus itself
-in general position (general position is hereditary, so this pruning is
-lossless), and a conflict table: P_S[y], for y in C, is the OR over s in S
-of the masks of the pairs (y, s), the vertices z that some member of S
-makes collinear with y. Branching on x kills P_S[x]; the child's table is
-P_S[y] | mask(x, y) over the surviving candidates, one operation per
-candidate.
+free of forbidden triples (no subset of a set without one has one, so this
+pruning is lossless), and a conflict table: P_S[y], for y in C, is the OR
+over s in S of the masks of the pairs (y, s), the vertices z that some
+member of S makes a forbidden triple with y. Branching on x kills P_S[x];
+the child's table is P_S[y] | mask(x, y) over the surviving candidates, one
+operation per candidate.
 
-Two candidates y and z conflict below S when z is in P_S[y]. A general
-position set T that extends S inside S + C holds no conflicting pair, so it
-holds at most one vertex of each clique of the conflict graph, and |S| plus
-the number of cliques in any clique cover of C bounds |T|. This is the
+Two candidates y and z conflict below S when z is in P_S[y]. A set T with no
+forbidden triple that extends S inside S + C holds no conflicting pair, so
+it holds at most one vertex of each clique of the conflict graph, and |S|
+plus the number of cliques in any clique cover of C bounds |T|. This is the
 colouring bound of maximum-clique search (Tomita & Seki, DMTCS 2003) on the
 conflict graph's complement. The cover is greedy: each clique starts at the
 lowest vertex left and absorbs, lowest first, the vertices left that
 conflict with every vertex taken so far. It is built for each child, with
 room the number of vertices the child may add before it only ties the
 incumbent, and it stops as soon as the answer is known: once its cliques
-have absorbed |C| - room vertices beyond their first (it fits), or once
-room cliques are open with vertices still unabsorbed (it does not). The
-vertices it takes get their entries of the child's table on the way. A
-child whose cover fits is not opened: x's branch is done, exactly as if no
-candidate had survived, and no set in it beats the incumbent. Branching follows
-descending degree (ties by id) and the incumbent is replaced only on strict
+have absorbed |C| - room vertices beyond their first (it fits), or once room
+cliques are open with vertices still unabsorbed (it does not). The vertices
+it takes get their entries of the child's table on the way. A child whose
+cover fits is not opened: x's branch is done, exactly as if no candidate had
+survived, and no set in it beats the incumbent. Branching follows descending
+degree (ties by id) and the incumbent is replaced only on strict
 improvement, so exact results are deterministic.
 
 Orbit pruning. A graph built by a constructor may carry a ground-set action
@@ -91,8 +96,9 @@ This is sound because every frame's excluded set X (the vertices that are
 neither chosen nor candidates) is a union of Stab(S)-orbits: at the root it
 is empty; a child inherits its parent's X, a union of orbits of a larger
 group and so of every deeper stabilizer, plus the vertices that conflict
-with the new choice, a set that Stab(S + x) keeps; and a frame only ever
-adds whole orbits. So for any general position set T that contains S and a
+with the new choice, a set that Stab(S + x) keeps, since automorphisms keep
+collinear triples and induced P3s alike; and a frame only ever adds whole
+orbits. So for any set T with no forbidden triple that contains S and a
 member y of x's orbit and avoids X, the image of T under a stabilizer
 element taking y to x contains S and x and avoids X: it lies in x's
 subtree, which has already been searched. A child closed by its cover
@@ -110,6 +116,7 @@ component triples never violate.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -126,7 +133,36 @@ from .graph import (
     is_connected,
     vertex_set,
 )
-from .invariants import _degree_order, _iter_bits, _to_original
+
+
+def _iter_bits(mask: int):
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+def _degree_order(g: Graph) -> tuple[list[int], list[int]]:
+    """Relabel by descending degree (ties by id).
+
+    Returns (bits, order) where order[i] is the original id of internal
+    vertex i and bits is the internal-id adjacency bitmask list.
+    """
+    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    bits = [0] * g.n
+    for v in range(g.n):
+        m = 0
+        for u in g.adj[v]:
+            m |= 1 << pos[u]
+        bits[pos[v]] = m
+    return bits, order
+
+
+def _to_original(internal, order: list[int]) -> VertexSet:
+    return tuple(sorted(order[i] for i in internal))
 
 
 @dataclass(frozen=True, slots=True)
@@ -434,7 +470,12 @@ def _cover(C: int, P: list[int], bx: list[int], room: int, Q: list[int]) -> int:
     return C
 
 
-def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
+def _run_gp(
+    g: Graph, clock: SearchClock, masks: Callable[[list[int], SearchClock], list[list[int]] | None]
+) -> tuple[int, VertexSet]:
+    """Largest vertex set with no forbidden triple. masks(bits, clock) gives
+    blocked[a][b], the bitmask of the y with {a, b, y} forbidden, on the
+    internal ids, or None once the deadline passes."""
     n = g.n
     if n == 0:
         return 0, ()
@@ -445,7 +486,7 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
         if not _check_action(g, clock):
             return 0, ()
         xs, M, root, ground = _orbit_tables(g.action, order)
-    blocked = _conflict_masks(bits, clock)
+    blocked = masks(bits, clock)
     if blocked is None:
         return 0, ()
     best: list[int] = []
@@ -453,8 +494,9 @@ def _run_gp(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
 
     # Depth-first search on an explicit stack: stack[i] holds the candidates
     # not yet branched on below chosen[:i], each of which keeps chosen[:i]
-    # plus itself in general position, and tables[i][y], for y in stack[i],
-    # the vertices z that some s in chosen[:i] makes collinear with y.
+    # plus itself free of forbidden triples, and tables[i][y], for y in
+    # stack[i], the vertices z that some s in chosen[:i] makes a forbidden
+    # triple with y.
     # cells[i] holds the cells of the ground sets that Stab(chosen[:i])
     # permutes; a frame deeper than len(cells) - 1 has a stabilizer that
     # moves nothing, and so do all frames below it. When the branch on x
@@ -524,7 +566,7 @@ def gp_exact(g: Graph, budget: Budget | None = None) -> GpResult:
     Budget exhaustion degrades to status "lower-bound".
     """
     clock = SearchClock(budget)
-    return clock.result(*_run_gp(g, clock), "exact")
+    return clock.result(*_run_gp(g, clock, _conflict_masks), "exact")
 
 
 gp_auto = gp_exact

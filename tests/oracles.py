@@ -4,9 +4,10 @@ Everything here works from a plain ``(n, edges)`` pair with its own data
 structures: Floyd-Warshall instead of BFS, subset enumeration instead of
 branch and bound, definitional triple scans instead of precomputed
 conflict masks. Slow on purpose; disagreement with genpos means a bug.
-The one exception is ``gp_ilp``, which takes distance rows from its caller:
-the tests pass ``genpos.distances``, the float BFS that the gp search does
-not use, and it needs scipy.
+The integer programs ``gp_ilp`` and ``rho_ilp`` need scipy, and they check
+the search loop that gp and rho share. ``gp_ilp`` takes distance rows from
+its caller: the tests pass ``genpos.distances``, the float BFS that the gp
+search does not use.
 """
 
 import itertools
@@ -171,22 +172,17 @@ def eta_enum(n, edges):
     return 0
 
 
-def gp_ilp(d):
-    """Exact gp as a 0-1 integer program over the distance rows ``d``.
-
-    Maximise the sum of x subject to x_a + x_b + x_c <= 2 for every collinear
-    triple {a, b, c}, solved by ``scipy.optimize.milp`` (HiGHS). Returns
-    (value, witness). The triples come from a definitional scan of ``d``,
-    not from any conflict mask.
-    """
+def _ilp_max(n, triples):
+    """Largest subset of range(n) holding no triple of ``triples`` whole, as
+    a 0-1 integer program: maximise the sum of x subject to x_a + x_b + x_c
+    <= 2 per triple, solved by ``scipy.optimize.milp`` (HiGHS). Returns
+    (value, witness)."""
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_array
 
-    n = len(d)
     if n == 0:
         return 0, ()
-    triples = [t for t in itertools.combinations(range(n), 3) if violating(d, *t)]
     constraints = []
     if triples:
         cols = np.array(triples).ravel()
@@ -200,3 +196,24 @@ def gp_ilp(d):
     if len(witness) != round(-res.fun):
         raise RuntimeError(f"milp solution {witness} does not match objective {-res.fun}")
     return len(witness), witness
+
+
+def gp_ilp(d):
+    """Exact gp as a 0-1 integer program over the distance rows ``d``: no
+    collinear triple whole. The triples come from a definitional scan of
+    ``d``, not from any conflict mask. Returns (value, witness)."""
+    n = len(d)
+    return _ilp_max(n, [t for t in itertools.combinations(range(n), 3) if violating(d, *t)])
+
+
+def rho_ilp(n, edges):
+    """Exact rho as a 0-1 integer program: no induced P_3 whole, the triples
+    (three vertices spanning exactly two edges) read off a plain adjacency
+    matrix. Returns (value, witness)."""
+    a = _adj_matrix(n, edges)
+    triples = [
+        (x, y, z)
+        for x, y, z in itertools.combinations(range(n), 3)
+        if a[x][y] + a[x][z] + a[y][z] == 2
+    ]
+    return _ilp_max(n, triples)

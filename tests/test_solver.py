@@ -32,8 +32,8 @@ from genpos import (
     rho,
 )
 from genpos.budget import SearchClock
-from genpos.invariants import _degree_order
-from genpos.solver import _conflict_masks, _cover
+from genpos.invariants import _p3_masks
+from genpos.solver import _conflict_masks, _cover, _degree_order
 
 import corpus
 import oracles
@@ -203,6 +203,26 @@ def test_conflict_masks_match_definition(g):
             for y in range(g.n)
             if y not in (a, b) and oracles.violating(d, order[a], order[b], order[y])
         )
+        assert blocked[a][b] == want, (a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=12))
+@example(edgeless(5))
+@example(complete(4))
+@example(disjoint_union(path(3), cycle(5)))
+def test_p3_masks_match_definition(g):
+    # rho's masks against a triple scan of the edge list: y is in mask(a, b)
+    # exactly when {a, b, y} spans two edges; internal vertex i is order[i]
+    edges = {frozenset(e) for e in g.edges()}
+    bits, order = _degree_order(g)
+    blocked = _p3_masks(bits, SearchClock())
+    for a, b in itertools.permutations(range(g.n), 2):
+        want = 0
+        for y in range(g.n):
+            pairs = ((a, b), (a, y), (b, y))
+            if y not in (a, b) and sum(frozenset((order[u], order[v])) in edges for u, v in pairs) == 2:
+                want |= 1 << y
         assert blocked[a][b] == want, (a, b)
 
 

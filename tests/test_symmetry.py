@@ -30,10 +30,10 @@ from genpos import (
     kneser,
     line_graph,
     path,
+    rho,
 )
 from genpos.budget import SearchClock
-from genpos.invariants import _degree_order
-from genpos.solver import _check_action, _orbit, _orbit_tables, _refine
+from genpos.solver import _check_action, _degree_order, _orbit, _orbit_tables, _refine
 
 import corpus
 import oracles
@@ -180,11 +180,15 @@ def test_orbit_masks_equal_brute_force_orbits(name, g):
 # --- the pruned search against the plain one ----------------------------------------
 
 
-@pytest.mark.parametrize("name,g", SYMMETRIC, ids=[name for name, _ in SYMMETRIC])
-def test_pruning_keeps_value_witness_and_status(name, g):
+@pytest.mark.parametrize(
+    "name,g,search",
+    [pytest.param(name, g, gp_exact, id=name) for name, g in SYMMETRIC]
+    + [pytest.param(name, g, rho, id=f"{name}-rho") for name, g in SYMMETRIC],
+)
+def test_pruning_keeps_value_witness_and_status(name, g, search):
     # pruning never removes the first maximum set in search order, so even
-    # the witness is the plain search's
-    pruned, plain = gp_exact(g), gp_exact(corpus.action_free(g))
+    # the witness is the plain search's; rho runs the same loop on other masks
+    pruned, plain = search(g), search(corpus.action_free(g))
     assert (pruned.value, pruned.witness, pruned.status) == (plain.value, plain.witness, plain.status)
     assert pruned.nodes_explored <= plain.nodes_explored
 
