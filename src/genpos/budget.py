@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import InputError
 from .graph import VertexSet
@@ -28,11 +29,12 @@ class Budget:
 
     def __post_init__(self):
         # a NaN deadline never passes and a negative node limit stops at once,
-        # so neither is a budget anyone meant
-        if self.max_nodes is not None and self.max_nodes < 0:
-            raise InputError(f"max_nodes must be >= 0, got {self.max_nodes}")
-        if self.max_ms is not None and math.isnan(self.max_ms):
-            raise InputError("max_ms must be a number, got NaN")
+        # so neither is a budget anyone meant; nor is a bool or fractional limit
+        nodes, ms = self.max_nodes, self.max_ms
+        if nodes is not None and (isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 0):
+            raise InputError(f"max_nodes must be an integer >= 0, got {nodes!r}")
+        if ms is not None and (isinstance(ms, bool) or not isinstance(ms, Real) or math.isnan(ms)):
+            raise InputError(f"max_ms must be a number, got {ms!r}")
 
 
 @dataclass(frozen=True, slots=True)

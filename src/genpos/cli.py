@@ -12,6 +12,7 @@ timeout), 2 input error, 3 budget exhausted with unresolved grid points.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import os
 import sys
@@ -34,7 +35,7 @@ from .formulas import (
 )
 from .graph import distances, is_connected
 from .harness import build_graph_spec, default_grid, emit_table, prediction_json, run_verify, theorem_ids
-from .io import dumps_json, encode_graph6, read_graph, write_graph
+from .io import dumps_json, encode_graph6, parse_json, read_graph, write_graph
 from .invariants import alpha, eta, omega, rho
 from .solver import characterization_check, gp_auto, is_general_position
 
@@ -66,9 +67,6 @@ def _input_errors(f):
         except (InputError, ParseError) as e:
             click.echo(f"error: {e}", err=True)
             sys.exit(2)
-        except json.JSONDecodeError as e:
-            click.echo(f"error: invalid JSON: {e}", err=True)
-            sys.exit(2)
 
     return wrapper
 
@@ -99,7 +97,7 @@ def main():
 def construct(family, args, spec_json, out_path, fmt):
     """Build a named graph family (e.g. `construct kneser 5 2`)."""
     if spec_json is not None:
-        g = build_graph_spec(json.loads(spec_json))
+        g = build_graph_spec(parse_json(spec_json))
     elif family is not None:
         g = build_graph_spec({"family": family, "args": list(args)})
     else:
@@ -155,31 +153,6 @@ def _echo_prediction(theorem: str, params: dict, pred: Prediction) -> None:
     click.echo(json.dumps(record))
 
 
-@predict.command("kneser2")
-@click.argument("n", type=int)
-@_input_errors
-def predict_kneser2(n):
-    """gp(K(n,2))."""
-    _echo_prediction("thm2.2", {"n": n}, gp_kneser2(n))
-
-
-@predict.command("kneser3")
-@click.argument("n", type=int)
-@_input_errors
-def predict_kneser3(n):
-    """gp(K(n,3))."""
-    _echo_prediction("thm2.4", {"n": n}, gp_kneser3(n))
-
-
-@predict.command("kneser-condition")
-@click.argument("n", type=int)
-@click.argument("k", type=int)
-@_input_errors
-def predict_kneser_condition(n, k):
-    """Sufficient condition for gp(K(n,k)) = C(n-1,k-1)."""
-    _echo_prediction("thm2.3", {"n": n, "k": k}, kneser_condition(n, k))
-
-
 @predict.command("cartesian-lower")
 @click.argument("gp_g", type=int)
 @click.argument("gp_h", type=int)
@@ -188,9 +161,7 @@ def predict_kneser_condition(n, k):
 @_input_errors
 def predict_cartesian_lower(gp_g, gp_h, n_g, n_h):
     """gp(G□H) >= gp(G) + gp(H) - 2."""
-    _echo_prediction(
-        "thm3.1", {"gp_g": gp_g, "gp_h": gp_h}, gp_cartesian_lower(gp_g, gp_h, n_g, n_h)
-    )
+    _echo_prediction("thm3.1", {"gp_g": gp_g, "gp_h": gp_h}, gp_cartesian_lower(gp_g, gp_h, n_g, n_h))
 
 
 @predict.command("hamming")
@@ -201,42 +172,31 @@ def predict_hamming(ns):
     _echo_prediction("thm3.2", {"ns": list(ns)}, hamming_lower(list(ns)))
 
 
-@predict.command("join")
-@click.argument("omega_g", type=int)
-@click.argument("omega_h", type=int)
-@click.argument("rho_g", type=int)
-@click.argument("rho_h", type=int)
-@_input_errors
-def predict_join(omega_g, omega_h, rho_g, rho_h):
-    """gp(G + H) from the factors' ω and ρ."""
-    params = {"omega_g": omega_g, "omega_h": omega_h, "rho_g": rho_g, "rho_h": rho_h}
-    _echo_prediction("prop4.2", params, gp_join(omega_g, omega_h, rho_g, rho_h))
+# subcommand -> (theorem id, formula, help); each takes its formula's integer
+# parameters as arguments, in order and under the same names
+_PREDICTIONS = {
+    "kneser2": ("thm2.2", gp_kneser2, "gp(K(n,2))."),
+    "kneser3": ("thm2.4", gp_kneser3, "gp(K(n,3))."),
+    "kneser-condition": ("thm2.3", kneser_condition, "Sufficient condition for gp(K(n,k)) = C(n-1,k-1)."),
+    "join": ("prop4.2", gp_join, "gp(G + H) from the factors' ω and ρ."),
+    "corona": ("thm4.3", gp_corona, "gp(G o H) = n(G) * rho(H) for n(G) >= 2."),
+    "line-complete": ("thm4.4", gp_line_complete, "gp(L(K_n))."),
+    "ekr": ("ekr", ekr_bound, "Erdos-Ko-Rado bound C(n-1,k-1) on alpha(K(n,k)) for n >= 2k."),
+}
 
 
-@predict.command("corona")
-@click.argument("n_g", type=int)
-@click.argument("rho_h", type=int)
-@_input_errors
-def predict_corona(n_g, rho_h):
-    """gp(G o H) = n(G) * rho(H) for n(G) >= 2."""
-    _echo_prediction("thm4.3", {"n_g": n_g, "rho_h": rho_h}, gp_corona(n_g, rho_h))
+def _add_prediction(name: str, theorem: str, formula, doc: str) -> None:
+    @_input_errors
+    def command(**params):
+        _echo_prediction(theorem, params, formula(**params))
+
+    for param in reversed(inspect.signature(formula).parameters):
+        command = click.argument(param, type=int)(command)
+    predict.command(name, help=doc)(command)
 
 
-@predict.command("line-complete")
-@click.argument("n", type=int)
-@_input_errors
-def predict_line_complete(n):
-    """gp(L(K_n))."""
-    _echo_prediction("thm4.4", {"n": n}, gp_line_complete(n))
-
-
-@predict.command("ekr")
-@click.argument("n", type=int)
-@click.argument("k", type=int)
-@_input_errors
-def predict_ekr(n, k):
-    """Erdos-Ko-Rado bound C(n-1,k-1) on alpha(K(n,k)) for n >= 2k."""
-    _echo_prediction("ekr", {"n": n, "k": k}, ekr_bound(n, k))
+for _name, _entry in _PREDICTIONS.items():
+    _add_prediction(_name, *_entry)
 
 
 @main.command("check-set")
@@ -295,7 +255,7 @@ def verify(run_all, theorem_id, quick, strict, grid_json, fmt, budget_nodes, bud
     reports = []
     for tid in ids:
         if grid_json is not None:
-            grid = json.loads(grid_json)
+            grid = parse_json(grid_json)
         else:
             grid = default_grid(tid, stretch=not quick)
         reports.extend(run_verify(tid, grid, budget))

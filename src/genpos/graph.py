@@ -129,9 +129,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
 
-    def label_of(self, v: int) -> str | None:
-        return None if self.labels is None else self.labels[v]
-
 
 @dataclass(frozen=True, slots=True)
 class DistanceMatrix:

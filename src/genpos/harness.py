@@ -88,7 +88,10 @@ def build_graph_spec(spec: Any) -> Graph:
     args = spec.get("args", [])
     if not isinstance(args, list):
         raise InputError(f"'args' must be a list in {spec!r}")
-    built = [build_graph_spec(a) if isinstance(a, dict) else a for a in args]
+    try:
+        built = [build_graph_spec(a) if isinstance(a, dict) else a for a in args]
+    except RecursionError:
+        raise InputError("graph spec is nested too deeply") from None
     try:
         return fn(*built)
     except (TypeError, AttributeError) as e:  # wrong arity, or a number where a graph belongs

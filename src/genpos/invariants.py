@@ -12,9 +12,9 @@ non-adjacency is transitive on S; for ρ because vertices in different
 components of G[S] are automatically at distance ≥ 2). A single part is
 admitted as complete multipartite — the edgeless complement of a clique —
 so η(G) ≥ ω(G) here; this matches how the k=1 case behaves in the product
-proofs that rely on η. The two public names therefore run one search and
-share one predicate (:func:`is_cluster_set`); the test suite checks η = ρ
-against brute-force oracles written separately for each definition.
+proofs that rely on η. So both names run one search on :func:`_p3_masks`
+(:func:`is_cluster_set` only checks membership); tests check η = ρ against
+brute-force oracles written separately for each definition.
 
 ρ is the gp search of :mod:`genpos.solver` on other masks: its loop looks
 for a largest vertex set with no forbidden triple, and for ρ a triple is

@@ -29,43 +29,30 @@ _GRAPH6_HEADER = ">>graph6<<"
 _MAX_N = 1 << 18  # 3-byte extended order field
 
 
+def _pack(bits: str) -> str:
+    # a bit string, zero-padded to a multiple of 6, as graph6 bytes
+    bits += "0" * (-len(bits) % 6)
+    return "".join(chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6))
+
+
 def encode_graph6(g: Graph) -> str:
     """Encode ``g`` as a graph6 string (no optional format header)."""
     n = g.n
     if n >= _MAX_N:
         raise InputError(f"graph6 encoding here supports n < {_MAX_N}, got {n}")
-    if n <= 62:
-        out = [chr(63 + n)]
-    else:
-        out = ["~", chr(63 + ((n >> 12) & 63)), chr(63 + ((n >> 6) & 63)), chr(63 + (n & 63))]
-    bit_buf = 0
-    bit_len = 0
-    for v in range(1, n):
-        row = g.adj[v]
-        for u in range(v):
-            bit_buf = (bit_buf << 1) | (1 if u in row else 0)
-            bit_len += 1
-            if bit_len == 6:
-                out.append(chr(63 + bit_buf))
-                bit_buf = 0
-                bit_len = 0
-    if bit_len:
-        out.append(chr(63 + (bit_buf << (6 - bit_len))))
-    return "".join(out)
+    header = chr(63 + n) if n <= 62 else "~" + _pack(f"{n:018b}")
+    return header + _pack("".join("01"[u in g.adj[v]] for v in range(1, n) for u in range(v)))
 
 
 def decode_graph6(data: str | bytes) -> Graph:
     """Decode one graph6 line; tolerates the '>>graph6<<' prefix and a newline."""
+    text = data
     if isinstance(data, bytes):
         try:
             text = data.decode("ascii")
         except UnicodeDecodeError as e:
             raise ParseError("non-ASCII byte in graph6 data", e.start) from None
-    else:
-        text = data
-    base = 0
-    if text.startswith(_GRAPH6_HEADER):
-        base = len(_GRAPH6_HEADER)
+    base = len(_GRAPH6_HEADER) if text.startswith(_GRAPH6_HEADER) else 0
     end = len(text)
     while end > base and text[end - 1] in "\r\n":
         end -= 1
@@ -80,16 +67,14 @@ def decode_graph6(data: str | bytes) -> Graph:
             raise ParseError(f"invalid graph6 byte {text[i]!r}", i)
         return c - 63
 
-    pos = base
-    first = byte_at(pos)
-    pos += 1
-    if first == 63:  # '~' escape: 18-bit order
-        n = 0
-        for _ in range(3):
-            n = (n << 6) | byte_at(pos)
-            pos += 1
-    else:
-        n = first
+    def bits_at(i: int, count: int) -> str:
+        return "".join(f"{byte_at(j):06b}" for j in range(i, i + count))
+
+    pos = base + 1
+    n = byte_at(base)
+    if n == 63:  # '~' escape: 18-bit order
+        n = int(bits_at(pos, 3), 2)
+        pos += 3
 
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -98,26 +83,11 @@ def decode_graph6(data: str | bytes) -> Graph:
     if end - pos > nbytes:
         raise ParseError("trailing bytes after graph6 data", pos + nbytes)
 
-    edges = []
-    bit_index = 0
-    buf = 0
-    have = 0
-    v, u = 1, 0
-    for i in range(nbytes):
-        buf = byte_at(pos + i)
-        have = 6
-        while have and bit_index < nbits:
-            have -= 1
-            if (buf >> have) & 1:
-                edges.append((u, v))
-            bit_index += 1
-            u += 1
-            if u == v:
-                v += 1
-                u = 0
-        if bit_index >= nbits and buf & ((1 << have) - 1):
-            raise ParseError("nonzero padding bits", pos + i)
-    return Graph.from_edges(n, edges)
+    bits = bits_at(pos, nbytes)
+    if "1" in bits[nbits:]:
+        raise ParseError("nonzero padding bits", end - 1)  # all padding is in the last byte
+    pairs = ((u, v) for v in range(1, n) for u in range(v))
+    return Graph.from_edges(n, [p for p, b in zip(pairs, bits) if b == "1"])
 
 
 def graph_to_json_dict(g: Graph) -> dict[str, Any]:
@@ -155,14 +125,21 @@ def dumps_json(g: Graph) -> str:
     return json.dumps(graph_to_json_dict(g), separators=(",", ":"))
 
 
-def loads_json(text: str) -> Graph:
+def parse_json(text: str) -> Any:
+    """``json.loads``, with malformed JSON a :class:`ParseError` and nesting
+    too deep to parse an :class:`InputError`."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         # e.pos counts characters; the offset a ParseError reports is in bytes
         offset = len(text[: e.pos].encode("utf-8", "surrogatepass"))
         raise ParseError(f"invalid JSON: {e.msg}", offset) from None
-    return graph_from_json_dict(data)
+    except RecursionError:
+        raise InputError("JSON is nested too deeply") from None
+
+
+def loads_json(text: str) -> Graph:
+    return graph_from_json_dict(parse_json(text))
 
 
 def _infer_format(path: str, data: bytes | None = None) -> str:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import genpos
 import genpos.cli
 from genpos import TheoremReport, Prediction, decode_graph6, kneser, path, write_graph
 from genpos.cli import main
@@ -74,6 +79,27 @@ def test_construct_bad_arguments_exit_2(runner, argv):
 def test_construct_without_args_is_usage_error(runner):
     res = runner.invoke(main, ["construct"])
     assert res.exit_code != 0
+
+
+# 1,500 levels of line_graph around K1: deeper than json.loads can parse
+_DEEP_SPEC = '{"family":"line_graph","args":[' * 1500 + '{"family":"complete","args":[1]}' + "]}" * 1500
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--spec", _DEEP_SPEC],
+        ["verify", "--theorem", "thm4.1", "--grid", '[{"g": %s}]' % _DEEP_SPEC],
+    ],
+    ids=["construct", "verify"],
+)
+def test_deeply_nested_spec_exits_2(argv):
+    # a real process, so an uncaught RecursionError would print its traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(genpos.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-m", "genpos.cli", *argv], env=env, capture_output=True, text=True)
+    assert res.returncode == 2
+    assert res.stderr == "error: JSON is nested too deeply\n"
+    assert "Traceback" not in res.stdout + res.stderr
 
 
 # --- gp / invariant ----------------------------------------------------------
@@ -190,6 +216,44 @@ def test_predict_negative_arguments_not_applicable(runner, args, reason):
 def test_predict_join_takes_four_arguments(runner):
     res = runner.invoke(main, ["predict", "join", "1", "1", "2", "3", "2", "3"])
     assert res.exit_code == 2
+
+
+PREDICT_RECORDS = [
+    ("kneser2 6", '{"theorem": "thm2.2", "params": {"n": 6}, "applicable": true, "value_or_interval": 6, "witness": [0, 1, 2, 5, 6, 9]}'),
+    ("kneser3 7", '{"theorem": "thm2.4", "params": {"n": 7}, "applicable": true, "value_or_interval": 15, "witness": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]}'),
+    ("kneser-condition 10 2", '{"theorem": "thm2.3", "params": {"n": 10, "k": 2}, "applicable": true, "value_or_interval": 9, "witness": [0, 1, 2, 3, 4, 5, 6, 7, 8]}'),
+    ("kneser-condition 9 3", '{"theorem": "thm2.3", "params": {"n": 9, "k": 3}, "applicable": false, "value_or_interval": null, "witness": null, "reason": "inequality fails at t=2: 65 > 28"}'),
+    ("cartesian-lower 3 4 --n-g 5 --n-h 6", '{"theorem": "thm3.1", "params": {"gp_g": 3, "gp_h": 4}, "applicable": true, "value_or_interval": [5, 30], "witness": null}'),
+    ("hamming 3 4", '{"theorem": "thm3.2", "params": {"ns": [3, 4]}, "applicable": true, "value_or_interval": 5, "witness": [1, 2, 3, 4, 8]}'),
+    ("join 2 3 4 1", '{"theorem": "prop4.2", "params": {"omega_g": 2, "omega_h": 3, "rho_g": 4, "rho_h": 1}, "applicable": true, "value_or_interval": 5, "witness": null}'),
+    ("corona 3 2", '{"theorem": "thm4.3", "params": {"n_g": 3, "rho_h": 2}, "applicable": true, "value_or_interval": 6, "witness": null}'),
+    ("line-complete 6", '{"theorem": "thm4.4", "params": {"n": 6}, "applicable": true, "value_or_interval": 6, "witness": [0, 1, 5, 12, 13, 14]}'),
+    ("ekr 7 3", '{"theorem": "ekr", "params": {"n": 7, "k": 3}, "applicable": true, "value_or_interval": 15, "witness": null}'),
+]
+
+
+@pytest.mark.parametrize("argv, record", PREDICT_RECORDS, ids=[argv for argv, _ in PREDICT_RECORDS])
+def test_predict_record_pinned(runner, argv, record):
+    res = runner.invoke(main, ["predict", *argv.split()])
+    assert res.exit_code == 0
+    assert res.output == record + "\n"
+
+
+def test_predict_help_lists_every_subcommand(runner):
+    res = runner.invoke(main, ["predict", "--help"])
+    assert res.exit_code == 0
+    listed = [line.split()[0] for line in res.output.split("Commands:\n")[1].splitlines()]
+    assert listed == [
+        "cartesian-lower",
+        "corona",
+        "ekr",
+        "hamming",
+        "join",
+        "kneser-condition",
+        "kneser2",
+        "kneser3",
+        "line-complete",
+    ]
 
 
 # --- check-set -----------------------------------------------------------------

@@ -67,6 +67,14 @@ def test_build_graph_spec_validation():
         build_graph_spec({"family": "path", "args": 3})
 
 
+def test_build_graph_spec_too_deep_is_an_input_error():
+    spec = {"family": "complete", "args": [1]}
+    for _ in range(1200):
+        spec = {"family": "line_graph", "args": [spec]}
+    with pytest.raises(InputError, match="nested too deeply"):
+        build_graph_spec(spec)
+
+
 def test_line_graphs_of_kn_sweep():
     reports = run_verify("thm4.4", [{"n": n} for n in range(3, 8)])
     assert [r.verdict for r in reports] == ["match"] * 5

@@ -1,4 +1,5 @@
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -49,6 +50,22 @@ def test_graph6_round_trip(g):
     back = decode_graph6(encode_graph6(g))
     assert back.n == g.n
     assert back.adj == g.adj
+
+
+def test_graph6_round_trip_every_order():
+    rng = random.Random(6)
+    for n in [*range(71), 455]:
+        g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5])
+        s = encode_graph6(g)
+        assert s.startswith("~") == (n > 62)
+        assert len(s) == (1 if n <= 62 else 4) + (n * (n - 1) // 2 + 5) // 6
+        back = decode_graph6(s)
+        assert (back.n, back.adj) == (n, g.adj)
+
+
+def test_petersen_string_pinned():
+    assert encode_graph6(kneser(5, 2)) == "I?LRCecq?"
+    assert decode_graph6("I?LRCecq?").adj == kneser(5, 2).adj
 
 
 def test_graph6_large_order_escape():
@@ -130,6 +147,11 @@ def test_loads_json_reports_offset():
         with pytest.raises(ParseError) as e:
             loads_json(text)
         assert e.value.offset == offset, text
+
+
+def test_loads_json_too_deep_is_an_input_error():
+    with pytest.raises(InputError, match="nested too deeply"):
+        loads_json('{"n": 1, "edges": ' + "[" * 5000 + "]" * 5000 + "}")
 
 
 def test_file_round_trip_both_formats(tmp_path):

@@ -308,7 +308,15 @@ def test_kneser_star_size_reached_early(n, k, want):
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"max_ms": float("nan")}, {"max_nodes": -5}, {"max_nodes": -1, "max_ms": 10.0}]
+    "kwargs",
+    [
+        {"max_ms": float("nan")},
+        {"max_nodes": -5},
+        {"max_nodes": -1, "max_ms": 10.0},
+        {"max_nodes": 2.5},
+        {"max_nodes": True},
+        {"max_ms": "5"},
+    ],
 )
 def test_budget_rejects_limits_that_disable_themselves(kwargs):
     with pytest.raises(InputError):
