@@ -19,9 +19,10 @@ Some constructors also attach the symmetry they know as a
 :class:`~genpos.graph.GroundAction`: ``complete`` and ``edgeless`` (Sym(n)
 on the vertices), ``kneser`` (Sym(n) on {1..n}), ``line_graph`` of a
 complete graph that carries its action (Sym(n) on the ends of the edges),
-and ``cartesian_product`` of two factors that both carry one, which
-concatenates their coordinates. Every other graph, including a product with
-an action-free factor such as K_q □ C_m, has no action.
+and ``cartesian_product`` of two factors that both carry one, which puts
+h's ground set above g's, so that each factor's blocks keep their bits.
+The graph checks the action when it is built. Every other graph, including
+a product with an action-free factor such as K_q □ C_m, has no action.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .graph import Graph, GroundAction
 
 
 def _sym(size: int, masks) -> GroundAction:
-    """Sym(size) acting on one coordinate whose vertices are ``masks``."""
-    return GroundAction((size,), tuple((m,) for m in masks))
+    """Sym(size) acting on one block whose vertices are ``masks``."""
+    return GroundAction((size,), tuple(masks))
 
 
 def complete(n: int) -> Graph:
@@ -121,7 +122,8 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     ag, ah = g.action, h.action
     action = None
     if ag is not None and ah is not None:
-        points = tuple(pa + pb for pa in ag.points for pb in ah.points)
+        shift = sum(ag.sizes)
+        points = tuple(pa | pb << shift for pa in ag.points for pb in ah.points)
         action = GroundAction(ag.sizes + ah.sizes, points)
     return Graph.from_edges(g.n * nh, edges, labels, action)
 
@@ -171,5 +173,5 @@ def line_graph(g: Graph) -> Graph:
     a = g.action
     action = None
     if a is not None and len(a.sizes) == 1 and m == g.n * (g.n - 1) // 2:
-        action = _sym(a.sizes[0], (a.points[u][0] | a.points[v][0] for u, v in edge_list))
+        action = _sym(a.sizes[0], (a.points[u] | a.points[v] for u, v in edge_list))
     return Graph.from_edges(m, edges, labels, action)

@@ -16,6 +16,7 @@ from math import comb
 from .errors import InputError
 from .graph import Graph, VertexSet, vertex_set
 from .constructions import ksubset_index
+from .io import _MAX_N
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,7 +25,7 @@ class Prediction:
 
     Exactly one of ``value`` / (``lower``, ``upper``) is populated when
     applicable; ``upper`` may be None for a one-sided bound. ``witness``
-    is present when the underlying argument is constructive.
+    is present when the argument is constructive and the graph not too large.
     """
 
     applicable: bool
@@ -54,8 +55,11 @@ def _negative(**args: int | None) -> Prediction | None:
     return None
 
 
-def kneser_star_witness(n: int, k: int) -> VertexSet:
-    """Ids in kneser(n, k) of all k-subsets containing the element 1."""
+def kneser_star_witness(n: int, k: int) -> VertexSet | None:
+    """Ids in kneser(n, k) of all k-subsets containing the element 1; None
+    when K(n, k) has more vertices than graph6 can hold (``io._MAX_N``)."""
+    if comb(n, k) >= _MAX_N:
+        return None
     return tuple(
         sorted(
             ksubset_index(n, (1,) + rest)

@@ -28,10 +28,12 @@ def vertex_set(members: Iterable[int], n: int | None = None) -> VertexSet:
 
     When ``n`` is given, every member must lie in ``[0, n)``.
     """
-    vs = tuple(sorted(set(members)))
-    for v in vs:
+    members = list(members)
+    for v in members:
         if not isinstance(v, int) or isinstance(v, bool):
             raise InputError(f"vertex identifiers must be integers, got {v!r}")
+    vs = tuple(sorted(set(members)))
+    for v in vs:
         if v < 0 or (n is not None and v >= n):
             raise InputError(f"vertex {v} out of range for a graph on {n} vertices")
     return vs
@@ -39,19 +41,19 @@ def vertex_set(members: Iterable[int], n: int | None = None) -> VertexSet:
 
 @dataclass(frozen=True, slots=True)
 class GroundAction:
-    """A group acting on a graph through ground sets, one per coordinate.
+    """A group acting on a graph through one ground set split into blocks.
 
-    ``points[v][c]`` is the bitmask over coordinate c's ground set
-    ``{0..sizes[c]-1}`` that vertex v stands for: the k-subset of a Kneser
-    vertex, the two ends of an edge of K_n in L(K_n), the one vertex of a
-    complete or edgeless factor in a Cartesian product. Sym(sizes[c])
-    permutes coordinate c's ground set, independently for each c. The claim
-    that these permutations are automorphisms is checked by the solver
-    before it relies on it.
+    ``points[v]`` is the bitmask over the ground set ``{0..sum(sizes)-1}``
+    that vertex v stands for: the k-subset of a Kneser vertex, the two ends
+    of an edge of K_n in L(K_n), one element of each block for a vertex of
+    a product of complete or edgeless graphs. Block c is the bit range
+    ``[offset, offset + sizes[c])``, with offset ``sum(sizes[:c])``, and
+    Sym(sizes[c]) permutes it, independently for each c. A :class:`Graph`
+    built with an action checks that these permutations are automorphisms.
     """
 
     sizes: tuple[int, ...]
-    points: tuple[tuple[int, ...], ...]
+    points: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,8 +64,10 @@ class Graph:
     one opaque string per vertex (for example the k-subset a Kneser vertex
     stands for); labels take no part in adjacency or distance computations.
     ``action``, when present, is a symmetry the constructor knows (see
-    :class:`GroundAction`); it takes no part in equality, and every graph
-    built otherwise, including every graph read from a file, has none.
+    :class:`GroundAction`), checked when the graph is built: an action that
+    is not one by automorphisms raises InputError. It takes no part in
+    equality, and every graph built otherwise, including every graph read
+    from a file, has none.
     """
 
     n: int
@@ -80,12 +84,14 @@ class Graph:
             raise InputError(f"labels has {len(self.labels)} entries for n={self.n}")
         for v, nbrs in enumerate(self.adj):
             for u in nbrs:
-                if not 0 <= u < self.n:
-                    raise InputError(f"neighbor {u} of vertex {v} out of range")
+                if not isinstance(u, int) or not 0 <= u < self.n:
+                    raise InputError(f"neighbor {u!r} of vertex {v} out of range")
                 if u == v:
                     raise InputError(f"self-loop at vertex {v}")
                 if v not in self.adj[u]:
                     raise InputError(f"asymmetric adjacency between {u} and {v}")
+        if self.action is not None:
+            _check_action(self)
 
     @classmethod
     def from_edges(
@@ -97,8 +103,8 @@ class Graph:
     ) -> "Graph":
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) out of range for n={n}")
+            if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+                raise InputError(f"edge ({u!r},{v!r}) out of range for n={n}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
             nbrs[u].add(v)
@@ -128,6 +134,62 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
+
+
+def _generators(offset: int, size: int):
+    """Permutations of the block ``[offset, offset + size)`` that generate
+    Sym(size), acting on bitmasks: the transposition of its first two
+    elements and, when size > 2, the cycle e -> e + 1 (for size 2 the cycle
+    is the transposition)."""
+    if size < 2:
+        return ()
+    low = 1 << offset
+    pair = 3 << offset
+    block = ((1 << size) - 1) << offset
+
+    def swap(m: int) -> int:
+        return m ^ pair if (m ^ m >> 1) & low else m
+
+    def turn(m: int) -> int:
+        b = m & block
+        return m ^ b | (b << 1 & block) | (b >> (size - 1) & low)
+
+    return (swap,) if size == 2 else (swap, turn)
+
+
+def _check_action(g: Graph) -> None:
+    """Raise InputError unless g.action acts on g by automorphisms.
+
+    Each of :func:`_generators`, block by block, must map every vertex's
+    point to a vertex's point and the neighbours of every vertex onto the
+    neighbours of its image; a bijection of the vertices that keeps edges
+    is an automorphism.
+    """
+    a = g.action
+    if any(not isinstance(size, int) or size < 0 for size in a.sizes):
+        raise InputError(f"ground action: sizes {a.sizes!r} must be nonnegative integers")
+    if len(a.points) != g.n:
+        raise InputError(f"ground action has {len(a.points)} points for n={g.n}")
+    full = 1 << sum(a.sizes)
+    for v, p in enumerate(a.points):
+        if not isinstance(p, int) or not 0 <= p < full:
+            raise InputError(f"ground action: vertex {v} has point {p!r} outside ground sets {a.sizes}")
+    index = {p: v for v, p in enumerate(a.points)}
+    if len(index) != g.n:
+        raise InputError("ground action: two vertices share one point")
+    offset = 0
+    for c, size in enumerate(a.sizes):
+        for move in _generators(offset, size):
+            image = []
+            for v, p in enumerate(a.points):
+                w = index.get(move(p))
+                if w is None:
+                    raise InputError(f"ground action: permuting block {c} maps vertex {v} to no vertex")
+                image.append(w)
+            for v, nbrs in enumerate(g.adj):
+                if {image[u] for u in nbrs} != g.adj[image[v]]:
+                    raise InputError(f"ground action: permuting block {c} does not keep the edges at vertex {v}")
+        offset += size
 
 
 @dataclass(frozen=True, slots=True)

@@ -68,27 +68,24 @@ degree (ties by id) and the incumbent is replaced only on strict
 improvement, so exact results are deterministic.
 
 Orbit pruning. A graph built by a constructor may carry a ground-set action
-(:class:`~genpos.graph.GroundAction`): each vertex is a tuple of ground-set
-bitmasks, and Sym(ground) acts on every coordinate (Sym(n) on the k-subsets
-of {1..n} in K(n,k) and on the edges of K_n in L(K_n), Sym(q_i) on
-coordinate i of K_q1 □ ... □ K_qd).
-Before it uses one, the search checks inside its clock that a transposition
-and a full cycle of each coordinate's ground set, which generate
-Sym(ground), map vertices bijectively onto vertices and edges onto edges,
-in O(n + m) each; a failed check raises InputError. Graphs without an
-action, including every graph read from a file and every product with an
-action-free factor, run the plain search.
+(:class:`~genpos.graph.GroundAction`): each vertex is one bitmask over a
+ground set split into blocks, and Sym(B_1) x ... x Sym(B_d) permutes the
+blocks independently (Sym(n) on the k-subsets of {1..n} in K(n,k) and on
+the edges of K_n in L(K_n), Sym(q_i) on block i of K_q1 □ ... □ K_qd). The
+graph checked the action when it was built, so the search relies on it.
+Graphs without an action, including every graph read from a file and every
+product with an action-free factor, run the plain search.
 
-The pointwise stabilizer Stab(S) of the chosen vertices permutes each cell
-of the ground sets freely, where a cell is a class of ground elements that
-lie in the same members of S. Each frame refines its parent's cells by the
-new vertex's masks, and a frame whose cells are all singletons (and every
-frame below it) has a stabilizer that moves nothing. Vertex z is in x's
-orbit under Stab(S) when |z_c & A| = |x_c & A| for every cell A of every
-coordinate c. The orbit is computed as one bitmask: with M[c][e] the
-vertices whose coordinate c holds e, a bit-sliced ripple-carry count of
-M[c][e] over e in A is compared with |x_c & A|, and the results are ANDed
-over the cells.
+The pointwise stabilizer Stab(S) of the chosen vertices is again such a
+product: it permutes each cell freely, where a cell is a class of the
+elements of one block that lie in the same members of S. The root's cells
+are the blocks. Each frame refines its parent's cells by the new vertex's
+point, and a frame whose cells are all singletons (and every frame below
+it) has a stabilizer that moves nothing. Vertex z is in x's orbit under
+Stab(S) when |z & A| = |x & A| for every cell A. The orbit is computed as
+one bitmask: with M[e] the vertices whose point holds e, a bit-sliced
+ripple-carry count of M[e] over e in A is compared with |x & A|, and the
+results are ANDed over the cells.
 
 When the branch on x below S is done, x's whole orbit under Stab(S) leaves
 that frame's candidates; its members stay available inside x's own subtree.
@@ -118,7 +115,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .budget import Budget, GpResult, SearchClock
 from .errors import InputError
@@ -306,136 +303,67 @@ def _conflict_masks(bits: list[int], clock: SearchClock) -> list[list[int]] | No
     return blocked
 
 
-def _generators(size: int):
-    """The transposition (0 1) and the cycle e -> e + 1 of {0..size-1},
-    acting on bitmasks; together they generate Sym(size)."""
-    full = (1 << size) - 1
-
-    def swap(m: int) -> int:
-        return m ^ 3 if (m ^ m >> 1) & 1 else m
-
-    def turn(m: int) -> int:
-        return (m << 1 & full) | m >> (size - 1)
-
-    return swap, turn
-
-
-def _check_action(g: Graph, clock: SearchClock) -> bool:
-    """Raise InputError unless g.action acts by automorphisms; False once the
-    deadline passes (checked once per generator, counting no node).
-
-    Per coordinate, each of :func:`_generators` must map every vertex's
-    point to a vertex's point and every edge to an edge; a bijection of the
-    vertices that keeps edges is an automorphism.
-    """
-    a = g.action
-    if any(not isinstance(size, int) or size < 0 for size in a.sizes):
-        raise InputError(f"ground action: sizes {a.sizes!r} must be nonnegative integers")
-    d = len(a.sizes)
-    if len(a.points) != g.n:
-        raise InputError(f"ground action has {len(a.points)} points for n={g.n}")
-    for v, p in enumerate(a.points):
-        if (
-            not isinstance(p, tuple)
-            or len(p) != d
-            or any(not isinstance(m, int) or not 0 <= m < 1 << size for m, size in zip(p, a.sizes))
-        ):
-            raise InputError(f"ground action: vertex {v} has point {p!r} outside ground sets {a.sizes}")
-    index = {p: v for v, p in enumerate(a.points)}
-    if len(index) != g.n:
-        raise InputError("ground action: two vertices share one point")
-    for c, size in enumerate(a.sizes):
-        if size < 2:
-            continue
-        for move in _generators(size):
-            if clock.expired():
-                return False
-            image = []
-            for v, p in enumerate(a.points):
-                w = index.get(p[:c] + (move(p[c]),) + p[c + 1 :])
-                if w is None:
-                    raise InputError(f"ground action: permuting coordinate {c} maps vertex {v} to no vertex")
-                image.append(w)
-            for v, nbrs in enumerate(g.adj):
-                into = g.adj[image[v]]
-                for u in nbrs:
-                    if image[u] not in into:
-                        raise InputError(
-                            f"ground action: permuting coordinate {c} maps edge {v}-{u} to a non-edge"
-                        )
-    return True
-
-
 def _orbit_tables(a: GroundAction, order: list[int]):
     """The action in internal ids: (xs, M, root, ground).
 
-    xs[i] holds internal vertex i's masks; M[c][e] is the bitmask of the
-    vertices whose c-th mask holds ground element e. root is the root
-    frame's cells (one per coordinate: its whole ground set), None when no
-    cell can split, and ground the number of cells once every cell is a
-    singleton.
+    xs[i] is internal vertex i's point; M[e] is the bitmask of the vertices
+    whose point holds ground element e. root is the root frame's cells (the
+    blocks), None when no cell can split, and ground the number of cells
+    once every cell is a singleton.
     """
     xs = [a.points[v] for v in order]
-    M = [[0] * size for size in a.sizes]
-    for i, xi in enumerate(xs):
-        for Mc, m in zip(M, xi):
-            for e in _iter_bits(m):
-                Mc[e] |= 1 << i
-    root = [[(1 << size) - 1] if size else [] for size in a.sizes]
     ground = sum(a.sizes)
-    if ground == sum(map(len, root)):
-        root = None
-    return xs, M, root, ground
+    M = [0] * ground
+    for i, x in enumerate(xs):
+        for e in _iter_bits(x):
+            M[e] |= 1 << i
+    offsets = accumulate(a.sizes, initial=0)
+    root = [((1 << size) - 1) << off for off, size in zip(offsets, a.sizes) if size]
+    return xs, M, None if len(root) == ground else root, ground
 
 
-def _refine(cells: list[list[int]], xm: tuple[int, ...], ground: int) -> list[list[int]] | None:
-    """Split every cell by the new vertex's masks; None once all are singletons."""
+def _refine(cells: list[int], x: int, ground: int) -> list[int] | None:
+    """Split every cell by the new vertex's point; None once all are singletons."""
     out = []
-    count = 0
-    for row, m in zip(cells, xm):
-        new = []
-        for cell in row:
-            inside = cell & m
-            if inside and inside != cell:
-                new.append(inside)
-                new.append(cell ^ inside)
-            else:
-                new.append(cell)
-        count += len(new)
-        out.append(new)
-    return None if count == ground else out
+    for cell in cells:
+        inside = cell & x
+        if inside and inside != cell:
+            out.append(inside)
+            out.append(cell ^ inside)
+        else:
+            out.append(cell)
+    return None if len(out) == ground else out
 
 
-def _orbit(C: int, xm: tuple[int, ...], cells: list[list[int]], M: list[list[int]]) -> int:
+def _orbit(C: int, x: int, cells: list[int], M: list[int]) -> int:
     """The members of C in x's orbit under Stab(S), for S with these cells:
-    the z with |z_c & A| == |x_c & A| for every cell A."""
-    for row, xc, Mc in zip(cells, xm, M):
-        for A in row:
-            if not C:
-                return 0
-            k = (A & xc).bit_count()
-            if not k:
-                for e in _iter_bits(A):
-                    C &= ~Mc[e]
-            elif k == A.bit_count():
-                for e in _iter_bits(A):
-                    C &= Mc[e]
-            else:
-                # bit-sliced ripple-carry count of the Mc[e] over e in A
-                slices: list[int] = []
-                for e in _iter_bits(A):
-                    carry = Mc[e]
-                    for j, sl in enumerate(slices):
-                        slices[j] = sl ^ carry
-                        carry &= sl
-                        if not carry:
-                            break
-                    if carry:
-                        slices.append(carry)
-                if k >> len(slices):
-                    return 0
+    the z with |z & A| == |x & A| for every cell A."""
+    for A in cells:
+        if not C:
+            return 0
+        k = (A & x).bit_count()
+        if not k:
+            for e in _iter_bits(A):
+                C &= ~M[e]
+        elif k == A.bit_count():
+            for e in _iter_bits(A):
+                C &= M[e]
+        else:
+            # bit-sliced ripple-carry count of the M[e] over e in A
+            slices: list[int] = []
+            for e in _iter_bits(A):
+                carry = M[e]
                 for j, sl in enumerate(slices):
-                    C &= sl if k >> j & 1 else ~sl
+                    slices[j] = sl ^ carry
+                    carry &= sl
+                    if not carry:
+                        break
+                if carry:
+                    slices.append(carry)
+            if k >> len(slices):
+                return 0
+            for j, sl in enumerate(slices):
+                C &= sl if k >> j & 1 else ~sl
     return C
 
 
@@ -483,8 +411,6 @@ def _run_gp(
     xs = M = root = None
     ground = 0
     if g.action is not None:
-        if not _check_action(g, clock):
-            return 0, ()
         xs, M, root, ground = _orbit_tables(g.action, order)
     blocked = masks(bits, clock)
     if blocked is None:
@@ -496,17 +422,16 @@ def _run_gp(
     # not yet branched on below chosen[:i], each of which keeps chosen[:i]
     # plus itself free of forbidden triples, and tables[i][y], for y in
     # stack[i], the vertices z that some s in chosen[:i] makes a forbidden
-    # triple with y.
-    # cells[i] holds the cells of the ground sets that Stab(chosen[:i])
-    # permutes; a frame deeper than len(cells) - 1 has a stabilizer that
-    # moves nothing, and so do all frames below it. When the branch on x
-    # below chosen[:i] is done, x's whole orbit under that stabilizer leaves
-    # stack[i]. len(chosen) never exceeds best_size.
+    # triple with y. cells[i] holds the cells of the ground set that
+    # Stab(chosen[:i]) permutes, or None when that stabilizer moves nothing
+    # (and so do all below it). When the branch on x below chosen[:i] is
+    # done, x's whole orbit under that stabilizer leaves stack[i].
+    # len(chosen) never exceeds best_size.
     tick = clock.tick
     chosen: list[int] = []
     stack = [(1 << n) - 1]
     tables = [[0] * n]
-    cells = [] if root is None else [root]
+    cells = [root]
     while stack:
         C = stack[-1]
         if C and not tick():
@@ -515,14 +440,13 @@ def _run_gp(
             # frame done: undo the choice that opened it
             stack.pop()
             tables.pop()
+            cells.pop()
             if chosen:
                 x = chosen.pop()
-                if cells:
-                    if len(chosen) + 1 < len(cells):
-                        cells.pop()
-                    C = stack[-1]
-                    if len(chosen) < len(cells) and len(chosen) + C.bit_count() > best_size:
-                        stack[-1] = C & ~_orbit(C, xs[x], cells[-1], M)
+                A = cells[-1]
+                C = stack[-1]
+                if A is not None and len(chosen) + C.bit_count() > best_size:
+                    stack[-1] = C & ~_orbit(C, xs[x], A, M)
             continue
         xbit = C & -C
         C ^= xbit
@@ -547,16 +471,15 @@ def _run_gp(
                 Q[y] = P[y] | bx[y]
             stack.append(newC)
             tables.append(Q)
-            if cells and len(chosen) == len(cells):
-                sub = _refine(cells[-1], xs[x], ground)
-                if sub is not None:
-                    cells.append(sub)
+            A = cells[-1]
+            cells.append(A and _refine(A, xs[x], ground))
         else:
             # no set below chosen beats the incumbent, so x's branch is done,
             # as if newC were empty
             chosen.pop()
-            if cells and len(chosen) < len(cells) and len(chosen) + C.bit_count() > best_size:
-                stack[-1] = C & ~_orbit(C, xs[x], cells[-1], M)
+            A = cells[-1]
+            if A is not None and len(chosen) + C.bit_count() > best_size:
+                stack[-1] = C & ~_orbit(C, xs[x], A, M)
     return best_size, _to_original(best, order)
 
 

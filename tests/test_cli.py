@@ -239,6 +239,29 @@ def test_predict_record_pinned(runner, argv, record):
     assert res.output == record + "\n"
 
 
+@pytest.mark.parametrize("n, ids", [(724, 723), (725, None)])
+def test_predict_star_witness_boundary(runner, n, ids):
+    res = runner.invoke(main, ["predict", "kneser2", str(n)])
+    rec = json.loads(res.output)
+    assert (res.exit_code, rec["value_or_interval"]) == (0, n - 1)
+    assert (rec["witness"] if ids is None else len(rec["witness"])) == ids
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["kneser2", "9999999999999999999"], ["kneser3", "9999999999999999999"], ["kneser-condition", "9999999999999999999", "3"]],
+    ids=["kneser2", "kneser3", "kneser-condition"],
+)
+def test_predict_huge_kneser_gives_the_value_without_a_witness(argv):
+    # a real process, so an uncaught OverflowError would print its traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(genpos.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-m", "genpos.cli", "predict", *argv], env=env, capture_output=True, text=True)
+    assert res.returncode == 0
+    assert "Traceback" not in res.stdout + res.stderr
+    rec = json.loads(res.stdout)
+    assert rec["applicable"] is True and rec["witness"] is None
+
+
 def test_predict_help_lists_every_subcommand(runner):
     res = runner.invoke(main, ["predict", "--help"])
     assert res.exit_code == 0

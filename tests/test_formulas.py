@@ -49,6 +49,11 @@ def test_prediction_interval_property():
 def test_kneser_star_witness_ids():
     assert kneser_star_witness(5, 2) == (0, 1, 2, 3)
     assert len(kneser_star_witness(9, 3)) == comb(8, 2)
+    # none once K(n, k) outgrows graph6: C(724, 2) = 261,726 < 2^18 <= C(725, 2)
+    assert len(kneser_star_witness(724, 2)) == 723
+    assert kneser_star_witness(725, 2) is None
+    big = gp_kneser3(10**19)
+    assert (big.value, big.witness) == (comb(10**19 - 1, 2), None)
 
 
 # --- Kneser predictions --------------------------------------------------------

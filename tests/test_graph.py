@@ -16,6 +16,7 @@ from genpos import (
     distances,
     induced_subgraph,
     is_connected,
+    is_general_position,
     path,
     vertex_set,
 )
@@ -36,6 +37,10 @@ def test_vertex_set_range_check():
         vertex_set([-1])
     with pytest.raises(InputError):
         vertex_set([True])  # bools are not vertex ids
+    with pytest.raises(InputError):
+        vertex_set([1, "a"])  # checked before sorting, which would raise TypeError
+    with pytest.raises(InputError):
+        is_general_position(distances(path(2)), [0, "x"])
 
 
 def test_from_edges_rejects_bad_edges():
@@ -43,6 +48,10 @@ def test_from_edges_rejects_bad_edges():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(InputError):
         Graph.from_edges(3, [(1, 1)])
+    with pytest.raises(InputError):
+        Graph.from_edges(2, [(0, "a")])
+    with pytest.raises(InputError):
+        Graph(2, (frozenset({"a"}), frozenset()))
 
 
 def test_adjacency_must_be_symmetric():
