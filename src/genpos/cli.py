@@ -240,7 +240,7 @@ def check_set(path, members):
 @click.option("--theorem", "theorem_id", default=None, help="Sweep one theorem id.")
 @click.option("--quick/--stretch", default=True, help="Which manifest grid to use.")
 @click.option("--strict", is_flag=True, help="Treat timeouts as failures.")
-@click.option("--grid", "grid_json", default=None, help="JSON list of parameter points (overrides the manifest).")
+@click.option("--grid", "grid_json", default=None, help="JSON list of parameter points for --theorem (overrides the manifest).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json-lines"]), default="csv")
 @_budget_options
 @_input_errors
@@ -250,15 +250,14 @@ def verify(run_all, theorem_id, quick, strict, grid_json, fmt, budget_nodes, bud
         raise click.UsageError("--all and --theorem are mutually exclusive")
     if theorem_id is not None and theorem_id not in theorem_ids():
         raise InputError(f"unknown theorem id {theorem_id!r}; known: {theorem_ids()}")
+    if grid_json is not None and theorem_id is None:
+        raise click.UsageError("--grid needs --theorem ID: no one grid fits every theorem")
     ids = [theorem_id] if theorem_id is not None else theorem_ids()
     budget = _budget(budget_nodes, budget_ms)
+    grid = None if grid_json is None else parse_json(grid_json)
     reports = []
     for tid in ids:
-        if grid_json is not None:
-            grid = parse_json(grid_json)
-        else:
-            grid = default_grid(tid, stretch=not quick)
-        reports.extend(run_verify(tid, grid, budget))
+        reports.extend(run_verify(tid, default_grid(tid, stretch=not quick) if grid is None else grid, budget))
     click.echo(emit_table(reports, fmt), nl=False)
     if any(r.verdict == "mismatch" for r in reports):
         sys.exit(1)

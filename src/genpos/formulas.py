@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from .errors import InputError
 from .graph import Graph, VertexSet, vertex_set
@@ -55,17 +55,16 @@ def _negative(**args: int | None) -> Prediction | None:
     return None
 
 
+def _capped(order: int, witness) -> VertexSet | None:
+    """``witness()``, or None when the graph has more vertices than graph6
+    can hold (``io._MAX_N``): every prediction's witness follows this rule."""
+    return witness() if order < _MAX_N else None
+
+
 def kneser_star_witness(n: int, k: int) -> VertexSet | None:
-    """Ids in kneser(n, k) of all k-subsets containing the element 1; None
-    when K(n, k) has more vertices than graph6 can hold (``io._MAX_N``)."""
-    if comb(n, k) >= _MAX_N:
-        return None
-    return tuple(
-        sorted(
-            ksubset_index(n, (1,) + rest)
-            for rest in combinations(range(2, n + 1), k - 1)
-        )
-    )
+    """Ids in kneser(n, k) of all k-subsets containing the element 1, which
+    come first in lex order; None past the graph6 order limit."""
+    return _capped(comb(n, k), lambda: tuple(range(comb(n - 1, k - 1))))
 
 
 def gp_kneser2(n: int) -> Prediction:
@@ -171,7 +170,7 @@ def hamming_lower(ns) -> Prediction:
     if any(d < 2 for d in dims):
         return _na(f"every factor needs order >= 2, got {dims}")
     bound = sum(dims) - len(dims)
-    witness = hamming_witness(dims)
+    witness = _capped(prod(dims), lambda: hamming_witness(dims))
     if len(dims) == 2:
         return Prediction(True, value=bound, witness=witness)
     return Prediction(True, lower=bound, upper=None, witness=witness)
@@ -214,13 +213,11 @@ def gp_line_complete(n: int) -> Prediction:
     if n < 3:
         return _na(f"needs n >= 3, got {n}")
     if n % 3 == 0:
-        ids = []
-        for i in range(n // 3):
-            a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
-            ids += [_edge_index(n, a, b), _edge_index(n, a, c), _edge_index(n, b, c)]
-        return Prediction(True, value=n, witness=tuple(sorted(ids)))
-    witness = tuple(_edge_index(n, 0, v) for v in range(1, n))
-    return Prediction(True, value=n - 1, witness=witness)
+        value, edges = n, ((a + i, a + j) for a in range(0, n, 3) for i, j in ((0, 1), (0, 2), (1, 2)))
+    else:
+        value, edges = n - 1, ((0, v) for v in range(1, n))
+    witness = _capped(comb(n, 2), lambda: tuple(sorted(_edge_index(n, u, v) for u, v in edges)))
+    return Prediction(True, value=value, witness=witness)
 
 
 def ekr_bound(n: int, k: int) -> Prediction:

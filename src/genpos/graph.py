@@ -1,7 +1,9 @@
 """Core graph type and metric operations.
 
 Graphs are finite, simple, and undirected. Vertices are the integers
-``0..n-1``. Disconnected graphs are first class: unreachable pairs carry the
+``0..n-1``: :class:`Graph` holds the one rule for graph data (see
+:func:`_is_index`), so every graph that builds can be written and read
+back. Disconnected graphs are first class: unreachable pairs carry the
 dedicated sentinel :data:`INFINITY` (``math.inf``), whose arithmetic is
 absorbing (``finite + INFINITY == INFINITY``) and which never compares equal
 to a finite distance. The sentinel is deliberately not a large integer, so a
@@ -23,20 +25,27 @@ INFINITY = math.inf
 VertexSet = tuple[int, ...]
 
 
-def vertex_set(members: Iterable[int], n: int | None = None) -> VertexSet:
-    """Canonicalize ``members`` into a sorted, duplicate-free tuple.
+def _is_index(x, bound: float = INFINITY) -> bool:
+    """The one rule for graph data: a vertex id (bound n), a vertex count or
+    a block size (no bound) is an ``int`` that is not a ``bool``, in
+    ``[0, bound)``; labels, which :class:`Graph` checks, are strings."""
+    return type(x) is int and 0 <= x < bound
 
-    When ``n`` is given, every member must lie in ``[0, n)``.
-    """
+
+def _check_count(n) -> None:
+    if not _is_index(n):
+        raise InputError(f"vertex count must be an integer >= 0, got {n!r}")
+
+
+def vertex_set(members: Iterable[int], n: int | None = None) -> VertexSet:
+    """Canonicalize ``members``, vertex ids in ``[0, n)`` when ``n`` is
+    given, into a sorted, duplicate-free tuple."""
     members = list(members)
+    bound = INFINITY if n is None else n
     for v in members:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InputError(f"vertex identifiers must be integers, got {v!r}")
-    vs = tuple(sorted(set(members)))
-    for v in vs:
-        if v < 0 or (n is not None and v >= n):
-            raise InputError(f"vertex {v} out of range for a graph on {n} vertices")
-    return vs
+        if not _is_index(v, bound):
+            raise InputError(f"vertex {v!r} is not an integer in [0, {bound})")
+    return tuple(sorted(set(members)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +72,7 @@ class Graph:
     ``adj[v]`` is the neighbor set of ``v``. ``labels``, when present, gives
     one opaque string per vertex (for example the k-subset a Kneser vertex
     stands for); labels take no part in adjacency or distance computations.
+    Data that breaks the rule of :func:`_is_index` raises InputError.
     ``action``, when present, is a symmetry the constructor knows (see
     :class:`GroundAction`), checked when the graph is built: an action that
     is not one by automorphisms raises InputError. It takes no part in
@@ -76,16 +86,16 @@ class Graph:
     action: GroundAction | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InputError("vertex count must be nonnegative")
-        if len(self.adj) != self.n:
-            raise InputError(f"adjacency has {len(self.adj)} rows for n={self.n}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise InputError(f"labels has {len(self.labels)} entries for n={self.n}")
+        n = self.n
+        _check_count(n)
+        if len(self.adj) != n:
+            raise InputError(f"adjacency has {len(self.adj)} rows for n={n}")
+        if self.labels is not None and not (len(self.labels) == n and all(isinstance(x, str) for x in self.labels)):
+            raise InputError(f"labels must be {n} strings, one per vertex")
         for v, nbrs in enumerate(self.adj):
             for u in nbrs:
-                if not isinstance(u, int) or not 0 <= u < self.n:
-                    raise InputError(f"neighbor {u!r} of vertex {v} out of range")
+                if type(u) is not int or not 0 <= u < n:  # _is_index, inline for speed
+                    raise InputError(f"neighbor {u!r} of vertex {v} is not an integer in [0, {n})")
                 if u == v:
                     raise InputError(f"self-loop at vertex {v}")
                 if v not in self.adj[u]:
@@ -101,12 +111,11 @@ class Graph:
         labels: Sequence[str] | None = None,
         action: GroundAction | None = None,
     ) -> "Graph":
+        _check_count(n)
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u!r},{v!r}) out of range for n={n}")
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):  # _is_index, inline for speed
+                raise InputError(f"edge ({u!r},{v!r}) is not a pair of integers in [0, {n})")
             nbrs[u].add(v)
             nbrs[v].add(u)
         return cls(
@@ -117,8 +126,8 @@ class Graph:
         )
 
     def neighbors(self, v: int) -> frozenset[int]:
-        if not 0 <= v < self.n:
-            raise InputError(f"vertex {v} out of range")
+        if not _is_index(v, self.n):
+            raise InputError(f"vertex {v!r} is not an integer in [0, {self.n})")
         return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -166,13 +175,13 @@ def _check_action(g: Graph) -> None:
     is an automorphism.
     """
     a = g.action
-    if any(not isinstance(size, int) or size < 0 for size in a.sizes):
+    if not all(_is_index(size) for size in a.sizes):
         raise InputError(f"ground action: sizes {a.sizes!r} must be nonnegative integers")
     if len(a.points) != g.n:
         raise InputError(f"ground action has {len(a.points)} points for n={g.n}")
     full = 1 << sum(a.sizes)
     for v, p in enumerate(a.points):
-        if not isinstance(p, int) or not 0 <= p < full:
+        if not _is_index(p, full):
             raise InputError(f"ground action: vertex {v} has point {p!r} outside ground sets {a.sizes}")
     index = {p: v for v, p in enumerate(a.points)}
     if len(index) != g.n:

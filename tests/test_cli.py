@@ -262,6 +262,29 @@ def test_predict_huge_kneser_gives_the_value_without_a_witness(argv):
     assert rec["applicable"] is True and rec["witness"] is None
 
 
+@pytest.mark.parametrize(
+    "argv, ids",
+    [("line-complete 724", 723), ("line-complete 725", None), ("hamming 511 512", 1021), ("hamming 512 512", None)],
+)
+def test_predict_witness_cap_boundary(runner, argv, ids):
+    # C(724, 2) = 261,726 and 511 * 512 = 261,632 are below 2^18; C(725, 2) and 512 * 512 are not
+    res = runner.invoke(main, ["predict", *argv.split()])
+    rec = json.loads(res.output)
+    assert res.exit_code == 0 and rec["applicable"] is True
+    assert (rec["witness"] if ids is None else len(rec["witness"])) == ids
+
+
+@pytest.mark.parametrize("argv", [["line-complete", "1000000000"], ["hamming", "1000000000", "2"]], ids=["line-complete", "hamming"])
+def test_predict_huge_graph_gives_the_value_without_a_witness(argv):
+    # a real process, so a MemoryError would print its traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(genpos.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-m", "genpos.cli", "predict", *argv], env=env, capture_output=True, text=True)
+    assert res.returncode == 0
+    assert "Traceback" not in res.stdout + res.stderr
+    rec = json.loads(res.stdout)
+    assert rec["applicable"] is True and rec["witness"] is None
+
+
 def test_predict_help_lists_every_subcommand(runner):
     res = runner.invoke(main, ["predict", "--help"])
     assert res.exit_code == 0
@@ -361,6 +384,14 @@ def test_verify_unknown_theorem_exits_2(runner):
 def test_verify_all_and_theorem_conflict(runner):
     res = runner.invoke(main, ["verify", "--all", "--theorem", "thm2.2"])
     assert res.exit_code == 2  # click usage error
+
+
+@pytest.mark.parametrize("extra", [[], ["--all"]], ids=["alone", "with-all"])
+def test_verify_grid_without_theorem_is_a_usage_error(runner, extra):
+    # no one grid fits every theorem: thm3.1 needs g and h, thm2.2 needs n
+    res = runner.invoke(main, ["verify", *extra, "--grid", '[{"n": 7}]'])
+    assert res.exit_code == 2
+    assert "--theorem" in res.stderr and "malformed grid point" not in res.stderr
 
 
 def test_verify_timeout_exit_codes(runner):

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -27,6 +28,7 @@ from genpos import (
     kneser,
     kneser_condition,
     kneser_star_witness,
+    ksubset_index,
     line_graph,
     omega,
     path,
@@ -54,6 +56,11 @@ def test_kneser_star_witness_ids():
     assert kneser_star_witness(725, 2) is None
     big = gp_kneser3(10**19)
     assert (big.value, big.witness) == (comb(10**19 - 1, 2), None)
+    # the k-subsets that contain 1 are the first C(n-1, k-1) in lex order
+    for n in range(2, 13):
+        for k in range(1, n + 1):
+            star = sorted(ksubset_index(n, (1,) + rest) for rest in combinations(range(2, n + 1), k - 1))
+            assert kneser_star_witness(n, k) == tuple(star)
 
 
 # --- Kneser predictions --------------------------------------------------------

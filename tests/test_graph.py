@@ -41,6 +41,10 @@ def test_vertex_set_range_check():
         vertex_set([1, "a"])  # checked before sorting, which would raise TypeError
     with pytest.raises(InputError):
         is_general_position(distances(path(2)), [0, "x"])
+    with pytest.raises(InputError):
+        Graph(2, (frozenset({True}), frozenset({0})))  # one rule: Graph refuses what vertex_set refuses
+    with pytest.raises(InputError):
+        path(2).neighbors(True)
 
 
 def test_from_edges_rejects_bad_edges():
@@ -52,6 +56,17 @@ def test_from_edges_rejects_bad_edges():
         Graph.from_edges(2, [(0, "a")])
     with pytest.raises(InputError):
         Graph(2, (frozenset({"a"}), frozenset()))
+    # each of these built, and then could not be written and read back or searched
+    with pytest.raises(InputError):
+        Graph.from_edges(2, [(True, 0)])
+    with pytest.raises(InputError):
+        Graph.from_edges(2, [(0, 1)], labels=[1, None])
+    with pytest.raises(InputError):
+        Graph(2.0, (frozenset(), frozenset()))
+    with pytest.raises(InputError):
+        Graph.from_edges(2.0, [])
+    with pytest.raises(InputError):
+        Graph.from_edges(True, [])
 
 
 def test_adjacency_must_be_symmetric():

@@ -1,6 +1,7 @@
 import json
 import random
 
+import hypothesis.strategies as st
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -133,6 +134,27 @@ def test_json_validation():
         graph_from_json_dict({"n": 3, "edges": [[0, True]]})
     with pytest.raises(InputError):
         graph_from_json_dict({"n": 2, "edges": [], "labels": "ab"})
+
+
+# ints, bools, floats, strings and None: everything a JSON value or a careless
+# caller can put where a vertex id, a count or a label belongs
+_DATA = st.one_of(st.integers(-2, 6), st.booleans(), st.floats(-1, 6), st.text(max_size=3), st.none())
+
+
+@settings(max_examples=300)
+@given(
+    n=st.one_of(st.integers(0, 6), _DATA),
+    edges=st.lists(st.tuples(_DATA, _DATA) | st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=6),
+    labels=st.none() | st.lists(st.text(max_size=3) | _DATA, max_size=6),
+)
+def test_every_graph_that_builds_reads_back(n, edges, labels):
+    try:
+        g = Graph.from_edges(n, edges, labels)
+    except InputError:
+        return
+    back = loads_json(dumps_json(g))
+    assert back == g and back.labels == g.labels
+    assert decode_graph6(encode_graph6(g)).adj == g.adj
 
 
 def test_loads_json_reports_offset():
