@@ -16,6 +16,7 @@ import inspect
 import json
 import os
 import sys
+from collections.abc import Callable
 
 import click
 
@@ -140,17 +141,26 @@ def predict():
     """Closed-form predictions (no search)."""
 
 
-def _echo_prediction(theorem: str, params: dict, pred: Prediction) -> None:
-    record = {
-        "theorem": theorem,
-        "params": params,
-        "applicable": pred.applicable,
-        "value_or_interval": prediction_json(pred),
-        "witness": None if pred.witness is None else list(pred.witness),
-    }
-    if not pred.applicable:
-        record["reason"] = pred.reason
-    click.echo(json.dumps(record))
+def _echo_prediction(theorem: str, params: dict, predict: Callable[[], Prediction]) -> None:
+    # every predict subcommand prints through here; Python prints no int of
+    # more digits than its limit, so a prediction holding one is refused
+    try:
+        pred = predict()
+        record = {
+            "theorem": theorem,
+            "params": params,
+            "applicable": pred.applicable,
+            "value_or_interval": prediction_json(pred),
+            "witness": None if pred.witness is None else list(pred.witness),
+        }
+        if not pred.applicable:
+            record["reason"] = pred.reason
+        line = json.dumps(record)
+    except InputError:
+        raise
+    except ValueError:
+        raise InputError(f"the prediction holds a number of more than {sys.get_int_max_str_digits()} digits") from None
+    click.echo(line)
 
 
 @predict.command("cartesian-lower")
@@ -161,7 +171,7 @@ def _echo_prediction(theorem: str, params: dict, pred: Prediction) -> None:
 @_input_errors
 def predict_cartesian_lower(gp_g, gp_h, n_g, n_h):
     """gp(G□H) >= gp(G) + gp(H) - 2."""
-    _echo_prediction("thm3.1", {"gp_g": gp_g, "gp_h": gp_h}, gp_cartesian_lower(gp_g, gp_h, n_g, n_h))
+    _echo_prediction("thm3.1", {"gp_g": gp_g, "gp_h": gp_h}, lambda: gp_cartesian_lower(gp_g, gp_h, n_g, n_h))
 
 
 @predict.command("hamming")
@@ -169,7 +179,7 @@ def predict_cartesian_lower(gp_g, gp_h, n_g, n_h):
 @_input_errors
 def predict_hamming(ns):
     """gp(K_{n1} [] ... [] K_{nk}) >= sum(n_i) - k (exact for k=2)."""
-    _echo_prediction("thm3.2", {"ns": list(ns)}, hamming_lower(list(ns)))
+    _echo_prediction("thm3.2", {"ns": list(ns)}, lambda: hamming_lower(list(ns)))
 
 
 # subcommand -> (theorem id, formula, help); each takes its formula's integer
@@ -188,7 +198,7 @@ _PREDICTIONS = {
 def _add_prediction(name: str, theorem: str, formula, doc: str) -> None:
     @_input_errors
     def command(**params):
-        _echo_prediction(theorem, params, formula(**params))
+        _echo_prediction(theorem, params, lambda: formula(**params))
 
     for param in reversed(inspect.signature(formula).parameters):
         command = click.argument(param, type=int)(command)

@@ -14,9 +14,8 @@ from itertools import combinations
 from math import comb, prod
 
 from .errors import InputError
-from .graph import Graph, VertexSet, vertex_set
+from .graph import MAX_N, Graph, VertexSet, vertex_set
 from .constructions import ksubset_index
-from .io import _MAX_N
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,9 +55,9 @@ def _negative(**args: int | None) -> Prediction | None:
 
 
 def _capped(order: int, witness) -> VertexSet | None:
-    """``witness()``, or None when the graph has more vertices than graph6
-    can hold (``io._MAX_N``): every prediction's witness follows this rule."""
-    return witness() if order < _MAX_N else None
+    """``witness()``, or None when the graph is past the order limit
+    (``graph.MAX_N``): every prediction's witness follows this rule."""
+    return witness() if order < MAX_N else None
 
 
 def kneser_star_witness(n: int, k: int) -> VertexSet | None:

@@ -25,16 +25,20 @@ INFINITY = math.inf
 VertexSet = tuple[int, ...]
 
 
+MAX_N = 1 << 18  # the order limit: every graph that builds fits graph6's 18-bit order field
+
+
 def _is_index(x, bound: float = INFINITY) -> bool:
-    """The one rule for graph data: a vertex id (bound n), a vertex count or
-    a block size (no bound) is an ``int`` that is not a ``bool``, in
-    ``[0, bound)``; labels, which :class:`Graph` checks, are strings."""
+    """The one rule for graph data: a vertex id (bound n), a vertex count
+    (bound :data:`MAX_N`) or a block size (no bound) is an ``int`` that is
+    not a ``bool``, in ``[0, bound)``; labels, which :class:`Graph` checks,
+    are strings."""
     return type(x) is int and 0 <= x < bound
 
 
 def _check_count(n) -> None:
-    if not _is_index(n):
-        raise InputError(f"vertex count must be an integer >= 0, got {n!r}")
+    if not _is_index(n, MAX_N):
+        raise InputError(f"vertex count must be an integer in [0, {MAX_N}), got {n!r}")
 
 
 def vertex_set(members: Iterable[int], n: int | None = None) -> VertexSet:

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from typing import Any
 
 from .errors import InputError, ParseError
 from .graph import Graph
 
 _GRAPH6_HEADER = ">>graph6<<"
-_MAX_N = 1 << 18  # 3-byte extended order field
 
 
 def _pack(bits: str) -> str:
@@ -39,9 +39,7 @@ def _pack(bits: str) -> str:
 
 def encode_graph6(g: Graph) -> str:
     """Encode ``g`` as a graph6 string (no optional format header)."""
-    n = g.n
-    if n >= _MAX_N:
-        raise InputError(f"graph6 encoding here supports n < {_MAX_N}, got {n}")
+    n = g.n  # below graph.MAX_N, so it fits the 18-bit order field
     header = chr(63 + n) if n <= 62 else "~" + _pack(f"{n:018b}")
     return header + _pack("".join("01"[u in g.adj[v]] for v in range(1, n) for u in range(v)))
 
@@ -119,8 +117,8 @@ def dumps_json(g: Graph) -> str:
 
 
 def parse_json(text: str) -> Any:
-    """``json.loads``, with malformed JSON a :class:`ParseError` and nesting
-    too deep to parse an :class:`InputError`."""
+    """``json.loads``, with malformed JSON a :class:`ParseError`, and nesting
+    too deep to parse or an integer too long to read an :class:`InputError`."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -129,6 +127,8 @@ def parse_json(text: str) -> Any:
         raise ParseError(f"invalid JSON: {e.msg}", offset) from None
     except RecursionError:
         raise InputError("JSON is nested too deeply") from None
+    except ValueError:  # past Python's limit on the digits of an int
+        raise InputError(f"JSON holds an integer of more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def loads_json(text: str) -> Graph:

@@ -39,15 +39,16 @@ source vertex, so a ``max_ms`` budget covers precompute as well as search;
 when it runs out before the search starts, the result is the empty set with
 status "lower-bound".
 
-The search runs on an explicit stack, so its depth is not bounded by
-Python's recursion limit. Each frame, with chosen prefix S, holds its
-candidates C, the vertices not yet branched on that each keep S plus itself
-free of forbidden triples (no subset of a set without one has one, so this
-pruning is lossless), and a conflict table: P_S[y], for y in C, is the OR
-over s in S of the masks of the pairs (y, s), the vertices z that some
-member of S makes a forbidden triple with y. Branching on x kills P_S[x];
-the child's table is P_S[y] | mask(x, y) over the surviving candidates, one
-operation per candidate.
+The search runs on an explicit stack, one list of frames, so its depth is
+not bounded by Python's recursion limit. The frame of chosen prefix S is
+[C, P, A]: its candidates C, the vertices not yet branched on that each
+keep S plus itself free of forbidden triples (no subset of a set without
+one has one, so this pruning is lossless); a conflict table P: P_S[y], for
+y in C, is the OR over s in S of the masks of the pairs (y, s), the
+vertices z that some member of S makes a forbidden triple with y; and the
+cells A of orbit pruning (below). Branching on x kills P_S[x]; the child's
+table is P_S[y] | mask(x, y) over the surviving candidates, one operation
+per candidate.
 
 Two candidates y and z conflict below S when z is in P_S[y]. A set T with no
 forbidden triple that extends S inside S + C holds no conflicting pair, so
@@ -60,12 +61,12 @@ conflict with every vertex taken so far. It is built for each child, with
 room the number of vertices the child may add before it only ties the
 incumbent, and it stops as soon as the answer is known: once its cliques
 have absorbed |C| - room vertices beyond their first (it fits), or once room
-cliques are open with vertices still unabsorbed (it does not). The vertices
-it takes get their entries of the child's table on the way. A child whose
-cover fits is not opened: x's branch is done, exactly as if no candidate had
-survived, and no set in it beats the incumbent. Branching follows descending
-degree (ties by id) and the incumbent is replaced only on strict
-improvement, so exact results are deterministic.
+cliques are open with vertices still unabsorbed (it does not); then it
+fills in the child's table. A child whose cover fits is not opened: x's
+branch ends as if no candidate had survived, at the one site where a branch
+whose frame ran out ends, and no set in it beats the incumbent. Branching
+follows descending degree (ties by id) and the incumbent is replaced only
+on strict improvement, so exact results are deterministic.
 
 Orbit pruning. A graph built by a constructor may carry a ground-set action
 (:class:`~genpos.graph.GroundAction`): each vertex is one bitmask over a
@@ -367,18 +368,18 @@ def _orbit(C: int, x: int, cells: list[int], M: list[int]) -> int:
     return C
 
 
-def _cover(C: int, P: list[int], bx: list[int], room: int, Q: list[int]) -> int:
+def _cover(C: int, P: list[int], bx: list[int], room: int, Q: list[int]) -> bool:
     """Greedy clique cover of C's conflict graph, y and z conflicting when
     z is in P[y] | bx[y] (see the module docstring).
 
-    Stores Q[y] = P[y] | bx[y] for every vertex it takes. Returns 0 when
-    the cover has at most room cliques, else the vertices it has not taken,
-    never 0. spare counts the vertices the cliques must still absorb beyond
-    their first for the cover to fit.
+    Returns whether the cover needs more than room cliques; then Q[y] =
+    P[y] | bx[y] for every y in C, the whole child table. spare counts the
+    vertices the cliques must still absorb beyond their first for the cover
+    to fit.
     """
     spare = C.bit_count() - room
     if spare <= 0:
-        return 0
+        return False
     while room:
         room -= 1
         low = C & -C
@@ -389,13 +390,18 @@ def _cover(C: int, P: list[int], bx: list[int], room: int, Q: list[int]) -> int:
         while K:
             spare -= 1
             if not spare:
-                return 0
+                return False
             low = K & -K
             C ^= low
             y = low.bit_length() - 1
             Q[y] = q = P[y] | bx[y]
             K &= q
-    return C
+    while C:  # it does not fit: fill in the vertices it has not taken
+        low = C & -C
+        C ^= low
+        y = low.bit_length() - 1
+        Q[y] = P[y] | bx[y]
+    return True
 
 
 def _run_gp(
@@ -405,8 +411,6 @@ def _run_gp(
     blocked[a][b], the bitmask of the y with {a, b, y} forbidden, on the
     internal ids, or None once the deadline passes."""
     n = g.n
-    if n == 0:
-        return 0, ()
     bits, order = _degree_order(g)
     xs = M = root = None
     ground = 0
@@ -418,68 +422,48 @@ def _run_gp(
     best: list[int] = []
     best_size = 0
 
-    # Depth-first search on an explicit stack: stack[i] holds the candidates
-    # not yet branched on below chosen[:i], each of which keeps chosen[:i]
-    # plus itself free of forbidden triples, and tables[i][y], for y in
-    # stack[i], the vertices z that some s in chosen[:i] makes a forbidden
-    # triple with y. cells[i] holds the cells of the ground set that
-    # Stab(chosen[:i]) permutes, or None when that stabilizer moves nothing
-    # (and so do all below it). When the branch on x below chosen[:i] is
-    # done, x's whole orbit under that stabilizer leaves stack[i].
+    # Depth-first search on an explicit stack of frames [C, P, A], one per
+    # prefix chosen[:i]: C holds the candidates not yet branched on, each of
+    # which keeps chosen[:i] plus itself free of forbidden triples; P[y], for
+    # y in C, the vertices z that some s in chosen[:i] makes a forbidden
+    # triple with y; A the cells of the ground set that Stab(chosen[:i])
+    # permutes, or None when that stabilizer moves nothing (and so do all
+    # below it). A branch on x ends at one site, reached when x's frame is
+    # exhausted or when the cover closes it before it opens; there x's whole
+    # orbit under its parent's stabilizer leaves the parent's C.
     # len(chosen) never exceeds best_size.
     tick = clock.tick
     chosen: list[int] = []
-    stack = [(1 << n) - 1]
-    tables = [[0] * n]
-    cells = [root]
-    while stack:
-        C = stack[-1]
+    frames = [[(1 << n) - 1, [0] * n, root]]
+    while frames:
+        C, P, A = frame = frames[-1]
         if C and not tick():
             break
-        if len(chosen) + C.bit_count() <= best_size:
-            # frame done: undo the choice that opened it
-            stack.pop()
-            tables.pop()
-            cells.pop()
-            if chosen:
-                x = chosen.pop()
-                A = cells[-1]
-                C = stack[-1]
-                if A is not None and len(chosen) + C.bit_count() > best_size:
-                    stack[-1] = C & ~_orbit(C, xs[x], A, M)
-            continue
-        xbit = C & -C
-        C ^= xbit
-        stack[-1] = C
-        x = xbit.bit_length() - 1
-        P = tables[-1]
-        newC = C & ~P[x]
-        chosen.append(x)
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best = chosen.copy()
-        bx = blocked[x]
-        Q = P.copy()
-        todo = _cover(newC, P, bx, best_size - len(chosen), Q)
-        if todo:
-            # some set below chosen may beat the incumbent: open the child
-            # frame, its table completed over the vertices the cover left
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                y = low.bit_length() - 1
-                Q[y] = P[y] | bx[y]
-            stack.append(newC)
-            tables.append(Q)
-            A = cells[-1]
-            cells.append(A and _refine(A, xs[x], ground))
+        if len(chosen) + C.bit_count() > best_size:
+            xbit = C & -C
+            C ^= xbit
+            frame[0] = C
+            x = xbit.bit_length() - 1
+            chosen.append(x)
+            if len(chosen) > best_size:
+                best_size = len(chosen)
+                best = chosen.copy()
+            newC = C & ~P[x]
+            Q = P.copy()
+            if _cover(newC, P, blocked[x], best_size - len(chosen), Q):
+                # some set below chosen may beat the incumbent: open the child
+                frames.append([newC, Q, A and _refine(A, xs[x], ground)])
+                continue
+            # no set below chosen beats the incumbent: x's branch is done
         else:
-            # no set below chosen beats the incumbent, so x's branch is done,
-            # as if newC were empty
-            chosen.pop()
-            A = cells[-1]
-            if A is not None and len(chosen) + C.bit_count() > best_size:
-                stack[-1] = C & ~_orbit(C, xs[x], A, M)
+            # frame done: its branch ends in its parent
+            frames.pop()
+            if not frames:
+                break
+            C, _, A = frame = frames[-1]
+        x = chosen.pop()
+        if A is not None and len(chosen) + C.bit_count() > best_size:
+            frame[0] = C & ~_orbit(C, xs[x], A, M)
     return best_size, _to_original(best, order)
 
 

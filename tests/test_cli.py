@@ -285,6 +285,21 @@ def test_predict_huge_graph_gives_the_value_without_a_witness(argv):
     assert rec["applicable"] is True and rec["witness"] is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["kneser-condition", "30000", "10000"], ["kneser3", "9" * 2200]],
+    ids=["reason", "value"],
+)
+def test_predict_number_past_the_digit_limit_exits_2(argv):
+    # Python prints no int of more than 4300 digits: here the "inequality
+    # fails" reason and the value C(n-1, 2) of gp(K(n,3)) would need one
+    env = {**os.environ, "PYTHONPATH": str(Path(genpos.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-m", "genpos.cli", "predict", *argv], env=env, capture_output=True, text=True)
+    assert res.returncode == 2
+    assert res.stdout == "" and "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
 def test_predict_help_lists_every_subcommand(runner):
     res = runner.invoke(main, ["predict", "--help"])
     assert res.exit_code == 0
@@ -322,6 +337,16 @@ def test_json_error_names_the_byte_offset(runner, tmp_path):
     res = runner.invoke(main, ["gp", "--graph", str(p)])
     assert res.exit_code == 2
     assert "byte offset 29" in res.output
+
+
+def test_json_integer_past_the_digit_limit_exits_2(runner, tmp_path):
+    huge = "9" * 5000
+    p = tmp_path / "f.json"
+    p.write_text('{"n": %s}' % huge)
+    res = runner.invoke(main, ["gp", "--graph", str(p)])
+    assert (res.exit_code, res.stderr) == (2, f"error: JSON holds an integer of more than {sys.get_int_max_str_digits()} digits\n")
+    res = runner.invoke(main, ["verify", "--theorem", "thm2.2", "--grid", '[{"n": %s}]' % huge])
+    assert (res.exit_code, res.stderr) == (2, f"error: JSON holds an integer of more than {sys.get_int_max_str_digits()} digits\n")
 
 
 def test_check_set_agreement(runner, petersen_file):

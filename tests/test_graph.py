@@ -69,6 +69,13 @@ def test_from_edges_rejects_bad_edges():
         Graph.from_edges(True, [])
 
 
+def test_order_limit():
+    # every graph that builds fits graph6's 18-bit order field; from_edges
+    # checks the count before it allocates a set per vertex
+    with pytest.raises(InputError, match=r"\[0, 262144\)"):
+        Graph.from_edges(1 << 18, [])
+
+
 def test_adjacency_must_be_symmetric():
     with pytest.raises(InputError):
         Graph(2, (frozenset({1}), frozenset()))

@@ -219,6 +219,19 @@ def test_non_utf8_file_is_a_parse_error(tmp_path):
 
 
 def test_encode_rejects_huge_order():
-    big = Graph(1 << 18, tuple(frozenset() for _ in range(1 << 18)))
+    # a graph past graph6's order field does not build, so it never reaches the encoder
     with pytest.raises(InputError):
-        encode_graph6(big)
+        Graph(1 << 18, tuple(frozenset() for _ in range(1 << 18)))
+
+
+def test_json_order_limit(tmp_path):
+    p = tmp_path / "big.json"
+    p.write_text('{"n": 262144}')
+    with pytest.raises(InputError, match="vertex count"):
+        read_graph(str(p))
+
+
+def test_json_integer_past_the_digit_limit_is_an_input_error():
+    with pytest.raises(InputError, match="digits") as e:
+        loads_json('{"n": ' + "9" * 5000 + "}")
+    assert not isinstance(e.value, ParseError)

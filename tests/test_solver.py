@@ -256,11 +256,10 @@ def test_clique_cover_bounds_every_extension(g, rnd):
         mask = sum(1 << v for v in C)
         for room in range(need):
             Q = [None] * n
-            left = _cover(mask, P, bx, room, Q)
-            assert left and left & ~mask == 0, (S, room)
-            # every vertex the cover took has its entry of the child's table
-            assert all(Q[y] == P[y] | bx[y] for y in C if not left >> y & 1)
-        assert _cover(mask, P, bx, len(C), [None] * n) == 0
+            assert _cover(mask, P, bx, room, Q) is True, (S, room)
+            # the child opens with its whole table
+            assert all(Q[y] == P[y] | bx[y] for y in C), (S, room)
+        assert _cover(mask, P, bx, len(C), [None] * n) is False
 
 
 # --- budgets ------------------------------------------------------------------
