@@ -21,7 +21,7 @@ from collections.abc import Callable
 import click
 
 from .budget import Budget, GpResult
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, digit_limit
 from .formulas import (
     Prediction,
     ekr_bound,
@@ -38,7 +38,7 @@ from .graph import distances, is_connected
 from .harness import build_graph_spec, default_grid, emit_table, prediction_json, run_verify, theorem_ids
 from .io import dumps_json, encode_graph6, parse_json, read_graph, write_graph
 from .invariants import alpha, eta, omega, rho
-from .solver import characterization_check, gp_auto, is_general_position
+from .solver import characterization_check, gp_exact, is_general_position
 
 DEFAULT_BUDGET_MS = 10000.0
 
@@ -121,7 +121,7 @@ def _result_record(r: GpResult) -> dict:
 @_input_errors
 def gp_cmd(path, budget_nodes, budget_ms):
     """Compute gp(G) with witness."""
-    r = gp_auto(read_graph(path), _budget(budget_nodes, budget_ms))
+    r = gp_exact(read_graph(path), _budget(budget_nodes, budget_ms))
     click.echo(json.dumps({**_result_record(r), "ms": round(r.elapsed_ms, 1), "method": r.method}))
 
 
@@ -142,9 +142,8 @@ def predict():
 
 
 def _echo_prediction(theorem: str, params: dict, predict: Callable[[], Prediction]) -> None:
-    # every predict subcommand prints through here; Python prints no int of
-    # more digits than its limit, so a prediction holding one is refused
-    try:
+    # every predict subcommand prints through here
+    with digit_limit("the prediction holds a number"):
         pred = predict()
         record = {
             "theorem": theorem,
@@ -155,12 +154,7 @@ def _echo_prediction(theorem: str, params: dict, predict: Callable[[], Predictio
         }
         if not pred.applicable:
             record["reason"] = pred.reason
-        line = json.dumps(record)
-    except InputError:
-        raise
-    except ValueError:
-        raise InputError(f"the prediction holds a number of more than {sys.get_int_max_str_digits()} digits") from None
-    click.echo(line)
+        click.echo(json.dumps(record))
 
 
 @predict.command("cartesian-lower")
@@ -266,9 +260,10 @@ def verify(run_all, theorem_id, quick, strict, grid_json, fmt, budget_nodes, bud
     budget = _budget(budget_nodes, budget_ms)
     grid = None if grid_json is None else parse_json(grid_json)
     reports = []
-    for tid in ids:
-        reports.extend(run_verify(tid, default_grid(tid, stretch=not quick) if grid is None else grid, budget))
-    click.echo(emit_table(reports, fmt), nl=False)
+    with digit_limit("the prediction holds a number"):  # as in _echo_prediction
+        for tid in ids:
+            reports.extend(run_verify(tid, default_grid(tid, stretch=not quick) if grid is None else grid, budget))
+        click.echo(emit_table(reports, fmt), nl=False)
     if any(r.verdict == "mismatch" for r in reports):
         sys.exit(1)
     if any(r.verdict == "timeout" for r in reports):

@@ -14,6 +14,9 @@ built from vertex ids are reproducible across runs:
   endpoint; labels look like ``"{u,v}"``.
 
 Constructors validate their inputs but never relabel or canonicalize them.
+They stream their edges and labels into ``Graph.from_edges``, so its order
+check runs before an edge is drawn; one that lists a point per vertex first
+hands its order to that check before it does.
 
 Some constructors also attach the symmetry they know as a
 :class:`~genpos.graph.GroundAction`: ``complete`` and ``edgeless`` (Sym(n)
@@ -27,11 +30,11 @@ a product with an action-free factor such as K_q □ C_m, has no action.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .errors import InputError
-from .graph import Graph, GroundAction
+from .graph import Graph, GroundAction, _check_count
 
 
 def _sym(size: int, masks) -> GroundAction:
@@ -43,15 +46,15 @@ def complete(n: int) -> Graph:
     """K_n."""
     if n < 1:
         raise InputError(f"complete(n) needs n >= 1, got {n}")
-    return Graph.from_edges(
-        n, combinations(range(n), 2), action=_sym(n, (1 << v for v in range(n)))
-    )
+    _check_count(n)  # before the action lists a point per vertex
+    return Graph.from_edges(n, combinations(range(n), 2), action=_sym(n, (1 << v for v in range(n))))
 
 
 def edgeless(n: int) -> Graph:
     """The empty graph on n vertices."""
     if n < 1:
         raise InputError(f"edgeless(n) needs n >= 1, got {n}")
+    _check_count(n)  # before the action lists a point per vertex
     return Graph.from_edges(n, [], action=_sym(n, (1 << v for v in range(n))))
 
 
@@ -59,14 +62,14 @@ def path(n: int) -> Graph:
     """P_n on vertices 0..n-1 in order."""
     if n < 1:
         raise InputError(f"path(n) needs n >= 1, got {n}")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     """C_n on vertices 0..n-1 in cyclic order."""
     if n < 3:
         raise InputError(f"cycle(n) needs n >= 3, got {n}")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def ksubsets(n: int, k: int) -> list[tuple[int, ...]]:
@@ -96,52 +99,42 @@ def kneser(n: int, k: int) -> Graph:
     """Kneser graph K(n, k): k-subsets of {1..n}, adjacent iff disjoint."""
     if k < 1 or n < k:
         raise InputError(f"kneser(n, k) needs n >= k >= 1, got n={n}, k={k}")
+    _check_count(comb(n, k))  # before the subsets and their points are listed
     verts = ksubsets(n, k)
-    sets = [frozenset(v) for v in verts]
-    edges = [
-        (i, j)
-        for i, j in combinations(range(len(verts)), 2)
-        if sets[i].isdisjoint(sets[j])
-    ]
-    labels = ["{" + ",".join(map(str, v)) + "}" for v in verts]
-    action = _sym(n, (sum(1 << (e - 1) for e in v) for v in verts))
-    return Graph.from_edges(len(verts), edges, labels, action)
+    points = [sum(1 << (e - 1) for e in v) for v in verts]
+    edges = ((i, j) for i, j in combinations(range(len(verts)), 2) if not points[i] & points[j])
+    labels = ("{" + ",".join(map(str, v)) + "}" for v in verts)
+    return Graph.from_edges(len(verts), edges, labels, _sym(n, points))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """G □ H with vertex (a, b) at id a * h.n + b."""
-    nh = h.n
-    edges = []
-    for a in range(g.n):
-        for b, b2 in h.edges():
-            edges.append((a * nh + b, a * nh + b2))
-    for a, a2 in g.edges():
-        for b in range(nh):
-            edges.append((a * nh + b, a2 * nh + b))
-    labels = [f"({a},{b})" for a in range(g.n) for b in range(nh)]
+    ng, nh = g.n, h.n
+    _check_count(ng * nh)  # before the action lists a point per vertex
+    h_edges = h.edges()
+    edges = chain(
+        ((a * nh + b, a * nh + b2) for a in range(ng) for b, b2 in h_edges),
+        ((a * nh + b, a2 * nh + b) for a, a2 in g.edges() for b in range(nh)),
+    )
+    labels = (f"({a},{b})" for a in range(ng) for b in range(nh))
     ag, ah = g.action, h.action
     action = None
     if ag is not None and ah is not None:
         shift = sum(ag.sizes)
-        points = tuple(pa | pb << shift for pa in ag.points for pb in ah.points)
-        action = GroundAction(ag.sizes + ah.sizes, points)
-    return Graph.from_edges(g.n * nh, edges, labels, action)
+        action = GroundAction(ag.sizes + ah.sizes, tuple(pa | pb << shift for pa in ag.points for pb in ah.points))
+    return Graph.from_edges(ng * nh, edges, labels, action)
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """G + H: disjoint union plus every cross edge, g's vertices first."""
-    off = g.n
-    edges = list(g.edges())
-    edges += [(u + off, v + off) for u, v in h.edges()]
-    edges += [(u, v + off) for u in range(g.n) for v in range(h.n)]
-    return Graph.from_edges(g.n + h.n, edges)
+    shifted = ((u + g.n, v + g.n) for u, v in h.edges())
+    cross = ((u, v + g.n) for u in range(g.n) for v in range(h.n))
+    return Graph.from_edges(g.n + h.n, chain(g.edges(), shifted, cross))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """G ∪ H, g's vertices first, no cross edges."""
-    off = g.n
-    edges = list(g.edges()) + [(u + off, v + off) for u, v in h.edges()]
-    return Graph.from_edges(g.n + h.n, edges)
+    return Graph.from_edges(g.n + h.n, chain(g.edges(), ((u + g.n, v + g.n) for u, v in h.edges())))
 
 
 def corona(g: Graph, h: Graph) -> Graph:
@@ -151,27 +144,24 @@ def corona(g: Graph, h: Graph) -> Graph:
     """
     if g.n < 1:
         raise InputError("corona(g, h) needs at least one center vertex")
-    edges = list(g.edges())
-    for i in range(g.n):
-        base = g.n + i * h.n
-        edges += [(base + u, base + v) for u, v in h.edges()]
-        edges += [(i, base + j) for j in range(h.n)]
-    return Graph.from_edges(g.n * (1 + h.n), edges)
+    ng, nh = g.n, h.n
+    h_edges = h.edges()
+    copies = ((ng + i * nh + u, ng + i * nh + v) for i in range(ng) for u, v in h_edges)
+    spokes = ((i, ng + i * nh + j) for i in range(ng) for j in range(nh))
+    return Graph.from_edges(ng * (1 + nh), chain(g.edges(), copies, spokes))
 
 
 def line_graph(g: Graph) -> Graph:
     """L(G): one vertex per edge of g, adjacent iff the edges share an end."""
     edge_list = g.edges()  # already sorted by (min, max)
-    m = len(edge_list)
-    edges = []
-    for i, j in combinations(range(m), 2):
-        a, b = edge_list[i]
-        c, d = edge_list[j]
-        if a == c or a == d or b == c or b == d:
-            edges.append((i, j))
-    labels = ["{" + f"{u},{v}" + "}" for u, v in edge_list]
+    edges = (
+        (i, j)
+        for (i, (a, b)), (j, (c, d)) in combinations(enumerate(edge_list), 2)
+        if a == c or a == d or b == c or b == d
+    )
+    labels = (f"{{{u},{v}}}" for u, v in edge_list)
     a = g.action
     action = None
-    if a is not None and len(a.sizes) == 1 and m == g.n * (g.n - 1) // 2:
+    if a is not None and len(a.sizes) == 1 and len(edge_list) == g.n * (g.n - 1) // 2:
         action = _sym(a.sizes[0], (a.points[u] | a.points[v] for u, v in edge_list))
-    return Graph.from_edges(m, edges, labels, action)
+    return Graph.from_edges(len(edge_list), edges, labels, action)

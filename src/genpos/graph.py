@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, digit_limit
 
 INFINITY = math.inf
 
@@ -38,7 +38,9 @@ def _is_index(x, bound: float = INFINITY) -> bool:
 
 def _check_count(n) -> None:
     if not _is_index(n, MAX_N):
-        raise InputError(f"vertex count must be an integer in [0, {MAX_N}), got {n!r}")
+        rule = f"vertex count must be an integer in [0, {MAX_N}), got"
+        with digit_limit(f"{rule} one"):
+            raise InputError(f"{rule} {n!r}")
 
 
 def vertex_set(members: Iterable[int], n: int | None = None) -> VertexSet:

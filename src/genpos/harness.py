@@ -43,7 +43,7 @@ from .formulas import (
 )
 from .graph import Graph, diameter, is_connected
 from .invariants import alpha, eta, omega, rho
-from .solver import gp_auto
+from .solver import gp_exact
 
 MATCH = "match"
 WITHIN_BOUND = "within-bound"
@@ -119,7 +119,7 @@ def _closed_form(predict: Callable[[dict], Prediction], build: Callable[[dict], 
         pred = predict(params)
         if not pred.applicable:
             return pred, None, ()
-        return pred, gp_auto(build(params), budget), ()
+        return pred, gp_exact(build(params), budget), ()
 
     return run
 
@@ -129,10 +129,10 @@ def _run_cartesian_lower(params: dict, budget: Budget | None) -> _Run:
     h = build_graph_spec(params["h"])
     if not (is_connected(g) and is_connected(h)):
         return Prediction(False, reason="factors must be connected"), None, ()
-    rg = gp_auto(g, budget)
-    rh = gp_auto(h, budget)
+    rg = gp_exact(g, budget)
+    rh = gp_exact(h, budget)
     pred = gp_cartesian_lower(rg.value, rh.value, g.n, h.n)
-    return pred, gp_auto(cons.cartesian_product(g, h), budget), (rg, rh)
+    return pred, gp_exact(cons.cartesian_product(g, h), budget), (rg, rh)
 
 
 def _run_diam2(params: dict, budget: Budget | None) -> _Run:
@@ -142,7 +142,7 @@ def _run_diam2(params: dict, budget: Budget | None) -> _Run:
     w = omega(g, budget)
     e = eta(g, budget)
     pred = Prediction(True, value=max(w.value, e.value))
-    return pred, gp_auto(g, budget), (w, e)
+    return pred, gp_exact(g, budget), (w, e)
 
 
 def _run_join(params: dict, budget: Budget | None) -> _Run:
@@ -151,7 +151,7 @@ def _run_join(params: dict, budget: Budget | None) -> _Run:
     wg, wh = omega(g, budget), omega(h, budget)
     rg, rh = rho(g, budget), rho(h, budget)
     pred = gp_join(wg.value, wh.value, rg.value, rh.value)
-    return pred, gp_auto(cons.join(g, h), budget), (wg, wh, rg, rh)
+    return pred, gp_exact(cons.join(g, h), budget), (wg, wh, rg, rh)
 
 
 def _run_corona(params: dict, budget: Budget | None) -> _Run:
@@ -161,7 +161,7 @@ def _run_corona(params: dict, budget: Budget | None) -> _Run:
     pred = gp_corona(g.n, rh.value)
     if not pred.applicable:
         return pred, None, ()
-    return pred, gp_auto(cons.corona(g, h), budget), (rh,)
+    return pred, gp_exact(cons.corona(g, h), budget), (rh,)
 
 
 def _run_ekr(params: dict, budget: Budget | None) -> _Run:

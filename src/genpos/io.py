@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from typing import Any
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, digit_limit
 from .graph import Graph
 
 _GRAPH6_HEADER = ">>graph6<<"
@@ -87,7 +86,7 @@ def decode_graph6(data: str | bytes) -> Graph:
     if "1" in bits[nbits:]:
         raise ParseError("nonzero padding bits", end - 1)  # all padding is in the last byte
     pairs = ((u, v) for v in range(1, n) for u in range(v))
-    return Graph.from_edges(n, [p for p, b in zip(pairs, bits) if b == "1"])
+    return Graph.from_edges(n, (p for p, b in zip(pairs, bits) if b == "1"))
 
 
 def graph_to_json_dict(g: Graph) -> dict[str, Any]:
@@ -119,16 +118,15 @@ def dumps_json(g: Graph) -> str:
 def parse_json(text: str) -> Any:
     """``json.loads``, with malformed JSON a :class:`ParseError`, and nesting
     too deep to parse or an integer too long to read an :class:`InputError`."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        # e.pos counts characters; the offset a ParseError reports is in bytes
-        offset = len(text[: e.pos].encode("utf-8", "surrogatepass"))
-        raise ParseError(f"invalid JSON: {e.msg}", offset) from None
-    except RecursionError:
-        raise InputError("JSON is nested too deeply") from None
-    except ValueError:  # past Python's limit on the digits of an int
-        raise InputError(f"JSON holds an integer of more than {sys.get_int_max_str_digits()} digits") from None
+    with digit_limit("JSON holds an integer"):
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as e:
+            # e.pos counts characters; the offset a ParseError reports is in bytes
+            offset = len(text[: e.pos].encode("utf-8", "surrogatepass"))
+            raise ParseError(f"invalid JSON: {e.msg}", offset) from None
+        except RecursionError:
+            raise InputError("JSON is nested too deeply") from None
 
 
 def loads_json(text: str) -> Graph:

@@ -13,12 +13,11 @@ definition (:func:`is_general_position`) and the structural characterization
 of G[S] are cliques whose vertex sets form a distance-constant, in-transitive
 partition.
 
-``gp_exact`` is the one gp search, for graphs of every diameter;
-``gp_auto`` is another name for the same function. Its loop looks for a
-largest vertex set with no forbidden triple, and it sees the triples only
-through masks: for every vertex pair (a, b), the bitmask of the third
-vertices y that make {a, b, y} forbidden. ``gp_exact`` passes the conflict
-masks, where a triple is forbidden when it is collinear;
+``gp_exact`` is the one gp search, for graphs of every diameter. Its loop
+looks for a largest vertex set with no forbidden triple, and it sees the
+triples only through masks: for every vertex pair (a, b), the bitmask of
+the third vertices y that make {a, b, y} forbidden. ``gp_exact`` passes the
+conflict masks, where a triple is forbidden when it is collinear;
 :func:`genpos.invariants.rho` (and so η) passes the induced-P3 masks. The
 two searches share the loop and differ only in their masks. The gp masks
 use no theorem about gp, so comparing ``gp_exact`` on diameter-2 graphs with
@@ -476,4 +475,4 @@ def gp_exact(g: Graph, budget: Budget | None = None) -> GpResult:
     return clock.result(*_run_gp(g, clock, _conflict_masks), "exact")
 
 
-gp_auto = gp_exact
+gp_auto = gp_exact  # the old name, kept for perfbench/, which still imports it

@@ -102,6 +102,47 @@ def test_deeply_nested_spec_exits_2(argv):
     assert "Traceback" not in res.stdout + res.stderr
 
 
+_K1000_SQUARED = json.dumps({"family": "cartesian_product", "args": [{"family": "complete", "args": [1000]}] * 2})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "path", "100000000"],
+        ["construct", "kneser", "30", "15"],
+        ["construct", "--spec", _K1000_SQUARED],
+        ["verify", "--theorem", "thm2.3", "--grid", '[{"n": 30000, "k": 10000}]'],
+        ["verify", "--theorem", "thm2.4", "--grid", '[{"n": %s}]' % ("9" * 2200)],
+        ["construct", "kneser", "9" * 2200, "3"],
+        ["construct", "complete", "300000"],
+        ["construct", "edgeless", "300000"],
+    ],
+    ids=["path", "kneser-30-15", "K1000xK1000", "thm2.3-reason", "thm2.4-order", "kneser-order", "complete", "edgeless"],
+)
+def test_huge_order_exits_2_before_anything_is_built(argv):
+    # a real process under a 600 MB address-space limit, set in the child
+    # only: building any of these graphs would raise a MemoryError, and
+    # printing C(30000, 9999) or C(n, 3) here would pass Python's digit limit
+    resource = pytest.importorskip("resource")
+    limit = 600_000 * 1024
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(genpos.__file__).parents[1])}
+    res = subprocess.run(
+        [sys.executable, "-m", "genpos.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=cap_memory,
+    )
+    assert res.returncode == 2
+    assert res.stdout == "" and "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
 # --- gp / invariant ----------------------------------------------------------
 
 

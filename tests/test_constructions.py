@@ -6,15 +6,18 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from genpos import (
+    Graph,
     InputError,
     cartesian_product,
     complete,
     connected_components,
     corona,
     cycle,
+    decode_graph6,
     disjoint_union,
     distances,
     edgeless,
+    encode_graph6,
     join,
     kneser,
     ksubset_index,
@@ -50,6 +53,37 @@ def test_small_family_validation():
         cycle(2)
     with pytest.raises(InputError):
         complete(0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: path(5),
+        lambda: cycle(5),
+        lambda: complete(4),
+        lambda: kneser(5, 2),
+        lambda: cartesian_product(complete(3), path(3)),
+        lambda: join(path(3), cycle(4)),
+        lambda: disjoint_union(path(3), cycle(4)),
+        lambda: corona(cycle(3), path(2)),
+        lambda: line_graph(complete(4)),
+        lambda: decode_graph6(encode_graph6(kneser(5, 2))),
+    ],
+    ids=["path", "cycle", "complete", "kneser", "cartesian_product", "join", "disjoint_union", "corona", "line_graph", "graph6"],
+)
+def test_edges_and_labels_stream_into_from_edges(build, monkeypatch):
+    # Graph.from_edges checks the order first, so nothing is listed before
+    # that check only if the edges and labels arrive as iterators
+    lazy = []
+    from_edges = Graph.from_edges.__func__
+
+    def spy(cls, n, edges, labels=None, action=None):
+        lazy.append(iter(edges) is edges and (labels is None or iter(labels) is labels))
+        return from_edges(cls, n, edges, labels, action)
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(spy))
+    build()
+    assert lazy and all(lazy)
 
 
 # --- k-subset machinery ------------------------------------------------------

@@ -74,6 +74,9 @@ def test_order_limit():
     # checks the count before it allocates a set per vertex
     with pytest.raises(InputError, match=r"\[0, 262144\)"):
         Graph.from_edges(1 << 18, [])
+    # a count too long for Python to print still gets a printable error
+    with pytest.raises(InputError, match="got one of more than"):
+        Graph.from_edges(10**5000, [])
 
 
 def test_adjacency_must_be_symmetric():
