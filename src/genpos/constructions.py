@@ -34,7 +34,7 @@ from itertools import chain, combinations
 from math import comb
 
 from .errors import InputError
-from .graph import Graph, GroundAction, _check_count
+from .graph import MAX_N, Graph, GroundAction, _check_count
 
 
 def _sym(size: int, masks) -> GroundAction:
@@ -99,6 +99,9 @@ def kneser(n: int, k: int) -> Graph:
     """Kneser graph K(n, k): k-subsets of {1..n}, adjacent iff disjoint."""
     if k < 1 or n < k:
         raise InputError(f"kneser(n, k) needs n >= k >= 1, got n={n}, k={k}")
+    # C(n, k) >= 2^min(k, n - k), so this refuses without comb, whose time grows with k
+    if min(k, n - k) >= (log2_max := MAX_N.bit_length() - 1):
+        raise InputError(f"kneser(n, k) has at least 2^{log2_max} vertices when min(k, n - k) >= {log2_max}")
     _check_count(comb(n, k))  # before the subsets and their points are listed
     verts = ksubsets(n, k)
     points = [sum(1 << (e - 1) for e in v) for v in verts]

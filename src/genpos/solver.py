@@ -25,18 +25,30 @@ max{ω, η} and ρ tests the paper's gp = max{ω, η} = ρ through two mask
 builders; the loop they share is checked by the integer-program oracles of
 the test suite, which share no code with it.
 
-The conflict masks are built from distance levels, with no distance matrix.
-A bitset BFS from each vertex a gives L_a[k], the vertices at distance k
-from a. For a pair at finite distance d, a vertex y is collinear with a and
-b exactly when it lies between them (L_a[k] & L_b[d-k], 0 < k < d), beyond b
-(L_b[k] & L_a[d+k], k >= 1) or beyond a (L_a[k] & L_b[d+k], k >= 1); the
-mask is the OR of these three parts. A vertex outside a's component is in no
-L_a[k], so pairs at infinite distance keep mask 0 and no mask holds a vertex
-of another component: the infinity rule above. The whole precompute is
-O(n^2 * diam) big-int operations. Both passes check the deadline once per
-source vertex, so a ``max_ms`` budget covers precompute as well as search;
-when it runs out before the search starts, the result is the empty set with
-status "lower-bound".
+The conflict masks are built from geodesic intervals, with no distance
+matrix. A bitset BFS from each source a gives L_a[k], the vertices at
+distance k from a. Two tables follow by a dynamic program over those levels:
+I_a[v], the vertices on some a-v geodesic, is {v} plus the union of I_a[u]
+over the neighbours u of v one level nearer a; F_a[v], the y with v on some
+a-y geodesic, is {v} plus the union of F_a[u] over the neighbours u of v one
+level further from a. A vertex y is collinear with a and b exactly when it
+lies between them (in I_a[b]), beyond b (in F_a[b]) or beyond a (in F_b[a]),
+so mask(a, b) is I_a[b] | F_a[b] | F_b[a] without a and b. The base levels
+have closed forms: I_a[v] is {a, v} on level 1 and {a, v} plus N(v) & L_a[1]
+on level 2, and F_a[v] is {v} plus N(v) & L_a[k+1] on the last two levels k,
+so a source of eccentricity at most 2, and so every source of a diameter-2
+graph, ORs no neighbour's table at all. Each source takes one pass: its BFS,
+I away from a, then F back towards a, each vertex's part I_a[v] | F_a[v]
+being ORed into the table as soon as F_a[v] is made. A pass costs O(n + m)
+big-int operations, so the whole precompute is O(n * m) where pairwise level
+zips cost O(n^2 * diam). The two passes of a and b build one int object,
+which blocked[a][b] and blocked[b][a] share, so the table holds one mask per
+unordered pair. A vertex outside a's component is never reached from a, so
+pairs at infinite distance keep mask 0 and no mask holds a vertex of another
+component: the infinity rule above. The precompute checks the deadline once
+per source vertex, so a ``max_ms`` budget covers precompute as well as
+search; when it runs out before the search starts, the result is the empty
+set with status "lower-bound".
 
 The search runs on an explicit stack, one list of frames, so its depth is
 not bounded by Python's recursion limit. The frame of chosen prefix S is
@@ -254,52 +266,81 @@ def characterization_check(g: Graph, dm: DistanceMatrix, s) -> CharacterizationR
 
 
 def _conflict_masks(bits: list[int], clock: SearchClock) -> list[list[int]] | None:
-    """blocked[a][b]: bitmask of the y with {a, b, y} collinear; None once
-    the deadline passes (checked once per source row, counting no node)."""
+    """blocked[a][b]: bitmask of the y with {a, b, y} collinear, one int
+    object shared by blocked[a][b] and blocked[b][a]; None once the deadline
+    passes (checked once per source, counting no node).
+
+    One pass per source a, as the module docstring sets out: the BFS levels
+    L[k], then I level by level away from a and F back towards a,
+
+        I[v] = {v} | the I[u] of v's neighbours u in L[k-1],
+        F[v] = {v} | the F[u] of v's neighbours u in L[k+1],
+
+    for v in L[k]. Where those tables are known the OR is one AND:
+    I[v] = {a, v} | (N(v) & L[k-1]) for k <= 2, and F[v] = {v} |
+    (N(v) & L[k+1]) on the last two levels. As soon as F[v] is made, v's
+    part I[v] | F[v] without a and v (the y between a and v, or beyond v)
+    is ORed into the pair's mask; v's own pass adds the y beyond a.
+    """
     n = len(bits)
-    # levels[a][k]: bitmask of the vertices at distance k from a
-    levels = []
+    one = [1 << v for v in range(n)]
+    blocked = [[0] * n for _ in range(n)]
+    I = [0] * n
+    F = [0] * n
     for a in range(n):
         if clock.expired():
             return None
-        seen = frontier = 1 << a
-        row = [frontier]
-        while True:
+        # L[k]: the vertices at distance k from a, as a bitmask and as ids[k]
+        abit = seen = frontier = one[a]
+        L: list[int] = []
+        ids: list[list[int]] = []
+        while frontier:
+            L.append(frontier)
+            here = []
             nxt = 0
             while frontier:
-                low = frontier & -frontier
-                nxt |= bits[low.bit_length() - 1]
-                frontier ^= low
+                v = frontier.bit_length() - 1
+                frontier ^= one[v]
+                here.append(v)
+                nxt |= bits[v]
+            ids.append(here)
             frontier = nxt & ~seen
-            if not frontier:
-                break
             seen |= frontier
-            row.append(frontier)
-        levels.append(row)
+        last = len(L) - 1
 
-    # pairs at infinite distance never meet in a level and keep mask 0
-    blocked = [[0] * n for _ in range(n)]
-    for a in range(n):
-        if clock.expired():
-            return None
-        La = levels[a]
+        for k in range(1, last + 1):  # I, away from a
+            near = L[k - 1]
+            for v in ids[k]:
+                nb = bits[v] & near
+                if k <= 2:
+                    I[v] = abit | one[v] | nb
+                    continue
+                m = one[v]
+                while nb:
+                    u = nb.bit_length() - 1
+                    nb ^= one[u]
+                    m |= I[u]
+                I[v] = m
+
         row = blocked[a]
-        for d in range(1, len(La)):
-            later = La[d] >> (a + 1) << (a + 1)
-            while later:
-                low = later & -later
-                later ^= low
-                b = low.bit_length() - 1
-                Lb = levels[b]
-                m = 0
-                for x, y in zip(La[1:d], Lb[d - 1 : 0 : -1]):  # between a and b
-                    m |= x & y
-                for x, y in zip(Lb[1:], La[d + 1 :]):  # beyond b
-                    m |= x & y
-                for x, y in zip(La[1:], Lb[d + 1 :]):  # beyond a
-                    m |= x & y
-                row[b] = m
-                blocked[b][a] = m
+        far = 0
+        for k in range(last, 0, -1):  # F, back towards a, each part folded in
+            for v in ids[k]:
+                vbit = one[v]
+                nb = bits[v] & far
+                f = vbit | nb
+                if k < last - 1:
+                    while nb:
+                        u = nb.bit_length() - 1
+                        nb ^= one[u]
+                        f |= F[u]
+                F[v] = f
+                part = (I[v] | f) ^ (abit | vbit)
+                if v > a:
+                    row[v] = part
+                else:
+                    blocked[v][a] = row[v] = blocked[v][a] | part
+            far = L[k]
     return blocked
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,16 @@ def test_huge_order_exits_2_before_anything_is_built(argv):
     )
     assert res.returncode == 2
     assert res.stdout == "" and "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+def test_huge_kneser_is_refused_before_its_order_is_computed(runner):
+    # C(10^6, 5 * 10^5) has about 300,000 digits, and computing it takes
+    # seconds; 2^min(k, n - k) already passes the order limit
+    t0 = time.perf_counter()
+    res = runner.invoke(main, ["construct", "kneser", "1000000", "500000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert res.exit_code == 2
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 

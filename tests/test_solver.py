@@ -191,6 +191,11 @@ def test_deep_search_on_large_clique():
 @example(edgeless(5))
 @example(disjoint_union(disjoint_union(path(4), complete(1)), cycle(5)))
 @example(disjoint_union(complete(3), complete(2)))
+@example(path(12))
+@example(cycle(12))
+@example(cartesian_product(path(3), path(4)))
+@example(corona(cycle(4), path(2)))
+@example(disjoint_union(path(6), cycle(6)))
 def test_conflict_masks_match_definition(g):
     # level-built masks, on the bits the search uses, against a triple scan
     # of the distance matrix; internal vertex i is order[i]
@@ -204,6 +209,32 @@ def test_conflict_masks_match_definition(g):
             if y not in (a, b) and oracles.violating(d, order[a], order[b], order[y])
         )
         assert blocked[a][b] == want, (a, b)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        path(30),
+        cycle(31),
+        cartesian_product(path(5), path(6)),
+        corpus.hamming(2, 2, 2, 2, 2),
+    ],
+    ids=["P30", "C31", "P5xP6", "Q5"],
+)
+def test_conflict_masks_on_long_geodesics(g):
+    # eccentricities up to 30, so both interval recurrences run for many
+    # levels; checked against a triple scan of Floyd-Warshall distances.
+    # Each unordered pair holds one mask object, shared by both its entries.
+    n = g.n
+    bits, order = _degree_order(g)
+    blocked = _conflict_masks(bits, SearchClock())
+    d = oracles.dist_matrix(n, list(g.edges()))
+    for a, b in itertools.combinations(range(n), 2):
+        want = sum(
+            1 << y for y in range(n) if y not in (a, b) and oracles.violating(d, order[a], order[b], order[y])
+        )
+        assert blocked[a][b] == want, (a, b)
+        assert blocked[a][b] is blocked[b][a], (a, b)
 
 
 @settings(max_examples=60, deadline=None)
