@@ -40,7 +40,6 @@ from .formulas import (
 )
 from .graph import (
     INFINITY,
-    DistanceMatrix,
     Graph,
     GroundAction,
     complement,
@@ -66,7 +65,7 @@ from .solver import (
     CliquePartition,
     Violation,
     characterization_check,
-    gp_auto,
+    gp_auto,  # not in __all__: the old name of gp_exact, which perfbench imports
     gp_exact,
     is_general_position,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "Budget",
     "CharacterizationResult",
     "CliquePartition",
-    "DistanceMatrix",
     "EXACT",
     "Graph",
     "GpResult",
@@ -109,7 +107,6 @@ __all__ = [
     "emit_table",
     "encode_graph6",
     "eta",
-    "gp_auto",
     "gp_cartesian_lower",
     "gp_corona",
     "gp_exact",

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Every subcommand emits one JSON object (or CSV table) per line on stdout.
-The per-instance search budget defaults to 10000 ms; override with the
-GP_BUDGET_MS environment variable or the --budget-ms option (a value <= 0
-removes the time limit).
+The per-instance search budget is the --budget-ms option, which click reads
+from the GP_BUDGET_MS environment variable when the option is not given
+(default 10000 ms; a value <= 0 removes the time limit).
 
 Exit codes: 0 success / all verified, 1 mismatch (or, under --strict,
 timeout), 2 input error, 3 budget exhausted with unresolved grid points.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import inspect
 import json
-import os
 import sys
 from collections.abc import Callable
 
@@ -40,22 +39,8 @@ from .io import dumps_json, encode_graph6, parse_json, read_graph, write_graph
 from .invariants import alpha, eta, omega, rho
 from .solver import characterization_check, gp_exact, is_general_position
 
-DEFAULT_BUDGET_MS = 10000.0
 
-
-def _env_budget_ms() -> float:
-    raw = os.environ.get("GP_BUDGET_MS")
-    if raw is None:
-        return DEFAULT_BUDGET_MS
-    try:
-        return float(raw)
-    except ValueError:
-        raise InputError(f"GP_BUDGET_MS must be a number, got {raw!r}") from None
-
-
-def _budget(nodes: int | None, ms: float | None) -> Budget:
-    if ms is None:
-        ms = _env_budget_ms()
+def _budget(nodes: int | None, ms: float) -> Budget:
     return Budget(max_nodes=nodes, max_ms=None if ms <= 0 else ms)
 
 
@@ -77,8 +62,11 @@ def _budget_options(f):
     f = click.option(
         "--budget-ms",
         type=float,
-        default=None,
-        help="Wall-clock limit in ms (<= 0 for none; default GP_BUDGET_MS or 10000).",
+        default=10000.0,
+        envvar="GP_BUDGET_MS",
+        show_default=True,
+        show_envvar=True,
+        help="Wall-clock limit in ms (<= 0 for none).",
     )(f)
     return f
 
@@ -214,11 +202,11 @@ def check_set(path, members):
         s = tuple(int(tok) for tok in members.split(",") if tok.strip() != "")
     except ValueError:
         raise InputError(f"--set must be comma-separated integers, got {members!r}") from None
-    dm = distances(g)
-    gp_ok = is_general_position(dm, s)
+    d = distances(g)
+    gp_ok = is_general_position(d, s)
     record = {"set": sorted(set(s)), "general_position": gp_ok}
     if is_connected(g):
-        res = characterization_check(g, dm, s)
+        res = characterization_check(g, d, s)
         if res.ok:
             record["characterization"] = {
                 "ok": True,

@@ -16,14 +16,15 @@ built from vertex ids are reproducible across runs:
 Constructors validate their inputs but never relabel or canonicalize them.
 They stream their edges and labels into ``Graph.from_edges``, so its order
 check runs before an edge is drawn; one that lists a point per vertex first
-hands its order to that check before it does.
+hands its order to that check before it does. ``kneser`` and ``line_graph``
+list their edges directly, in time proportional to their number.
 
 Some constructors also attach the symmetry they know as a
 :class:`~genpos.graph.GroundAction`: ``complete`` and ``edgeless`` (Sym(n)
-on the vertices), ``kneser`` (Sym(n) on {1..n}), ``line_graph`` of a
-complete graph that carries its action (Sym(n) on the ends of the edges),
-and ``cartesian_product`` of two factors that both carry one, which puts
-h's ground set above g's, so that each factor's blocks keep their bits.
+on the vertices), ``kneser`` (Sym(n) on {1..n}), ``line_graph`` of any
+complete graph, with or without an action (Sym(n) on the ends of the
+edges), and ``cartesian_product`` of two factors that both carry one, which
+puts h's ground set above g's, so that each factor's blocks keep their bits.
 The graph checks the action when it is built. Every other graph, including
 a product with an action-free factor such as K_q □ C_m, has no action.
 """
@@ -105,7 +106,15 @@ def kneser(n: int, k: int) -> Graph:
     _check_count(comb(n, k))  # before the subsets and their points are listed
     verts = ksubsets(n, k)
     points = [sum(1 << (e - 1) for e in v) for v in verts]
-    edges = ((i, j) for i, j in combinations(range(len(verts)), 2) if not points[i] & points[j])
+    index = {p: i for i, p in enumerate(points)}
+    bits = [1 << e for e in range(n)]
+    # a k-subset w disjoint from v follows it in lex order iff min(w) > min(v), so
+    # listing the k-subsets of the elements above min(v) that miss v gives each edge once
+    edges = (
+        (i, index[sum(w)])
+        for i, p in enumerate(points)
+        for w in combinations([b for b in bits if b > p & -p and not b & p], k)
+    )
     labels = ("{" + ",".join(map(str, v)) + "}" for v in verts)
     return Graph.from_edges(len(verts), edges, labels, _sym(n, points))
 
@@ -157,14 +166,14 @@ def corona(g: Graph, h: Graph) -> Graph:
 def line_graph(g: Graph) -> Graph:
     """L(G): one vertex per edge of g, adjacent iff the edges share an end."""
     edge_list = g.edges()  # already sorted by (min, max)
-    edges = (
-        (i, j)
-        for (i, (a, b)), (j, (c, d)) in combinations(enumerate(edge_list), 2)
-        if a == c or a == d or b == c or b == d
-    )
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(edge_list):
+        incident[u].append(i)
+        incident[v].append(i)
+    # two edges of a simple graph share at most one end, so each pair is listed once
+    edges = chain.from_iterable(combinations(at, 2) for at in incident)
     labels = (f"{{{u},{v}}}" for u, v in edge_list)
-    a = g.action
     action = None
-    if a is not None and len(a.sizes) == 1 and len(edge_list) == g.n * (g.n - 1) // 2:
-        action = _sym(a.sizes[0], (a.points[u] | a.points[v] for u, v in edge_list))
+    if len(edge_list) == g.n * (g.n - 1) // 2:
+        action = _sym(g.n, (1 << u | 1 << v for u, v in edge_list))
     return Graph.from_edges(len(edge_list), edges, labels, action)

@@ -9,6 +9,7 @@ Witnesses are emitted in the canonical vertex labelings of
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
@@ -60,6 +61,16 @@ def _capped(order: int, witness) -> VertexSet | None:
     return witness() if order < MAX_N else None
 
 
+def _printable_comb(n: int, k: int) -> int:
+    """C(n, k); once its lower bound 2^min(k, n - k) is too long to print, Python's ValueError for that
+    (see :func:`genpos.errors.digit_limit`) instead, raised before ``comb``, whose time grows with k."""
+    limit = sys.get_int_max_str_digits()
+    # 2^m has more than `limit` digits iff 2^m > 10^limit iff m >= bit_length(10^limit)
+    if limit and min(k, n - k) >= (10**limit).bit_length():
+        raise ValueError(f"C(n, k) has more than {limit} digits")
+    return comb(n, k)
+
+
 def kneser_star_witness(n: int, k: int) -> VertexSet | None:
     """Ids in kneser(n, k) of all k-subsets containing the element 1, which
     come first in lex order; None past the graph6 order limit."""
@@ -105,7 +116,7 @@ def kneser_condition(n: int, k: int) -> Prediction:
         return _na(f"needs k >= 2, got k={k}")
     if n < 3 * k - 1:
         return _na(f"needs n >= 3k-1 = {3 * k - 1} for diameter 2, got n={n}")
-    target = comb(n - 1, k - 1)
+    target = _printable_comb(n - 1, k - 1)
     for t in range(2, k + 1):
         lhs = k**t * comb(n - t, k - t) + t
         if lhs > target:
@@ -223,4 +234,4 @@ def ekr_bound(n: int, k: int) -> Prediction:
     """Erdős–Ko–Rado: α(K(n,k)) <= C(n-1,k-1) for n >= 2k (star attains)."""
     if k < 1 or n < 2 * k:
         return _na(f"EKR bound needs n >= 2k >= 2, got n={n}, k={k}")
-    return Prediction(True, value=comb(n - 1, k - 1))
+    return Prediction(True, value=_printable_comb(n - 1, k - 1))

@@ -3,10 +3,11 @@
 Graphs are finite, simple, and undirected. Vertices are the integers
 ``0..n-1``: :class:`Graph` holds the one rule for graph data (see
 :func:`_is_index`), so every graph that builds can be written and read
-back. Disconnected graphs are first class: unreachable pairs carry the
-dedicated sentinel :data:`INFINITY` (``math.inf``), whose arithmetic is
-absorbing (``finite + INFINITY == INFINITY``) and which never compares equal
-to a finite distance. The sentinel is deliberately not a large integer, so a
+back. :func:`distances` hands out plain rows, ``d[u][v]``. Disconnected
+graphs are first class: unreachable pairs carry the sentinel
+:data:`INFINITY` (``math.inf``), whose arithmetic is absorbing
+(``finite + INFINITY == INFINITY``) and which never compares equal to a
+finite distance. The sentinel is deliberately not a large integer, so a
 sum of distances can never silently overflow into a plausible value.
 """
 
@@ -207,22 +208,9 @@ def _check_action(g: Graph) -> None:
         offset += size
 
 
-@dataclass(frozen=True, slots=True)
-class DistanceMatrix:
-    """All-pairs shortest-path distances; unreachable pairs hold INFINITY."""
-
-    n: int
-    d: tuple[tuple[float, ...], ...]
-
-    def dist(self, u: int, v: int) -> float:
-        return self.d[u][v]
-
-    def is_finite(self, u: int, v: int) -> bool:
-        return self.d[u][v] != INFINITY
-
-
-def distances(g: Graph) -> DistanceMatrix:
-    """Exact unweighted shortest-path distances, one BFS per source."""
+def distances(g: Graph) -> tuple[tuple[float, ...], ...]:
+    """Exact unweighted shortest-path distances, one BFS per source: row u
+    holds d(u, v) at index v, and INFINITY where v is unreachable."""
     adj_lists = [tuple(g.adj[v]) for v in range(g.n)]
     rows = []
     for src in range(g.n):
@@ -237,16 +225,15 @@ def distances(g: Graph) -> DistanceMatrix:
                     dist[w] = du
                     q.append(w)
         rows.append(tuple(dist))
-    return DistanceMatrix(g.n, tuple(rows))
+    return tuple(rows)
 
 
 def diameter(g: Graph) -> float:
     """Max pairwise distance; INFINITY when g is disconnected; 0 when n <= 1."""
     if g.n <= 1:
         return 0
-    dm = distances(g)
     worst: float = 0
-    for row in dm.d:
+    for row in distances(g):
         m = max(row)
         if m == INFINITY:
             return INFINITY

@@ -11,7 +11,8 @@ Two independent membership tests are provided: the distance-arithmetic
 definition (:func:`is_general_position`) and the structural characterization
 (:func:`characterization_check`): S is general position iff the components
 of G[S] are cliques whose vertex sets form a distance-constant, in-transitive
-partition.
+partition. Both read the plain rows of :func:`genpos.graph.distances`, a BFS
+that the search below does not share.
 
 ``gp_exact`` is the one gp search, for graphs of every diameter. Its loop
 looks for a largest vertex set with no forbidden triple, and it sees the
@@ -133,7 +134,6 @@ from .budget import Budget, GpResult, SearchClock
 from .errors import InputError
 from .graph import (
     INFINITY,
-    DistanceMatrix,
     Graph,
     GroundAction,
     VertexSet,
@@ -205,10 +205,9 @@ class CharacterizationResult:
         return self.ok
 
 
-def is_general_position(dm: DistanceMatrix, s) -> bool:
-    """Definition-based test: no member between two other members."""
-    sv = vertex_set(s, dm.n)
-    d = dm.d
+def is_general_position(d, s) -> bool:
+    """Definition-based test on the distance rows ``d``: no member between two others."""
+    sv = vertex_set(s, len(d))
     for u, w, v in combinations(sv, 3):
         duw, dwv, duv = d[u][w], d[w][v], d[u][v]
         if duw == INFINITY or dwv == INFINITY or duv == INFINITY:
@@ -218,10 +217,11 @@ def is_general_position(dm: DistanceMatrix, s) -> bool:
     return True
 
 
-def characterization_check(g: Graph, dm: DistanceMatrix, s) -> CharacterizationResult:
+def characterization_check(g: Graph, d, s) -> CharacterizationResult:
     """Structural test for connected g: clique components, distance-constant
     and in-transitive between parts. Returns the partition or the first
-    violation found (components are scanned in order of minimum member)."""
+    violation found (components are scanned in order of minimum member),
+    reading g's distance rows ``d``."""
     if not is_connected(g):
         raise InputError("characterization_check needs a connected graph")
     sv = vertex_set(s, g.n)
@@ -240,14 +240,14 @@ def characterization_check(g: Graph, dm: DistanceMatrix, s) -> CharacterizationR
     k = len(parts)
     dist = [[0] * k for _ in range(k)]
     for i, j in combinations(range(k), 2):
-        d0 = dm.dist(parts[i][0], parts[j][0])
+        d0 = d[parts[i][0]][parts[j][0]]
         for u in parts[i]:
             for v in parts[j]:
-                if dm.dist(u, v) != d0:
+                if d[u][v] != d0:
                     return fail(
                         "distance-constant",
                         {parts[i][0], parts[j][0], u, v},
-                        f"parts {parts[i]} and {parts[j]}: d({u},{v})={dm.dist(u, v)} != d({parts[i][0]},{parts[j][0]})={d0}",
+                        f"parts {parts[i]} and {parts[j]}: d({u},{v})={d[u][v]} != d({parts[i][0]},{parts[j][0]})={d0}",
                     )
         dist[i][j] = dist[j][i] = d0
 

@@ -24,7 +24,6 @@ from genpos import (
     distances,
     edgeless,
     eta,
-    gp_auto,
     gp_exact,
     gp_join,
     gp_kneser2,
@@ -64,7 +63,7 @@ def test_criterion_01_kneser2_closed_form():
     with _Timer() as t:
         bad, vals = [], []
         for n in range(4, 10):
-            res = gp_auto(kneser(n, 2))
+            res = gp_exact(kneser(n, 2))
             want = gp_kneser2(n).value
             vals.append(res.value)
             if res.status != EXACT or res.value != want:
@@ -82,11 +81,11 @@ def test_criterion_02_kneser3_small():
     limit = 60.0
     with _Timer() as t:
         bad = []
-        r6 = gp_auto(kneser(6, 3))
+        r6 = gp_exact(kneser(6, 3))
         if r6.status != EXACT or r6.value != 20:
             bad.append(f"K(6,3): {r6.value} ({r6.status}) != 20")
         left_ms = max(1.0, (limit - (time.monotonic() - t.t0)) * 1000.0)
-        r8 = gp_auto(kneser(8, 3), Budget(max_ms=left_ms))
+        r8 = gp_exact(kneser(8, 3), Budget(max_ms=left_ms))
         if r8.status == EXACT:
             if r8.value != 21:
                 bad.append(f"K(8,3): exact {r8.value} != 21")
@@ -103,7 +102,7 @@ def test_criterion_02_kneser3_small():
 @pytest.mark.stretch
 def test_criterion_02_stretch_k83_exact():
     with _Timer() as t:
-        res = gp_auto(kneser(8, 3), Budget(max_ms=600_000))
+        res = gp_exact(kneser(8, 3), Budget(max_ms=600_000))
         ok = res.status == EXACT and res.value == 21
     _finish(
         "C02s Kneser K(8,3) exact (stretch)", 600, t, ok, f"value {res.value} ({res.status})"
@@ -131,7 +130,7 @@ def test_criterion_04_complete_products():
     with _Timer() as t:
         bad = []
         for n1, n2 in itertools.product((2, 3, 4), repeat=2):
-            res = gp_auto(cartesian_product(complete(n1), complete(n2)))
+            res = gp_exact(cartesian_product(complete(n1), complete(n2)))
             if res.status != EXACT or res.value != n1 + n2 - 2:
                 bad.append(f"K{n1} x K{n2}: {res.value} != {n1 + n2 - 2}")
     _finish(
@@ -241,7 +240,7 @@ def test_criterion_09_line_graphs_of_kn():
         bad, vals = [], []
         for n in range(3, 8):
             want = n if n % 3 == 0 else n - 1
-            res = gp_auto(line_graph(complete(n)))
+            res = gp_exact(line_graph(complete(n)))
             vals.append(res.value)
             if res.status != EXACT or res.value != want:
                 bad.append(f"L(K_{n}): {res.value} != {want}")
@@ -260,10 +259,10 @@ def test_criterion_10_characterization_equivalence():
     with _Timer() as t:
         bad, checked = [], 0
         for g in graphs:
-            dm = distances(g)
+            d = distances(g)
             for r in range(g.n + 1):
                 for s in itertools.combinations(range(g.n), r):
-                    if characterization_check(g, dm, s).ok != is_general_position(dm, s):
+                    if characterization_check(g, d, s).ok != is_general_position(d, s):
                         bad.append(f"n={g.n} edges={g.edges()} s={s}")
                     checked += 1
     _finish(

@@ -33,6 +33,35 @@ def p4_file(tmp_path):
     return str(p)
 
 
+def _run_cli(*argv, memory_kib=None, timeout=60):
+    """``python -m genpos.cli argv`` in a real process, so an uncaught
+    exception prints its traceback; ``memory_kib`` caps the child's address
+    space (``RLIMIT_AS``), set in the child only."""
+    cap_memory = None
+    if memory_kib is not None:
+        resource = pytest.importorskip("resource")
+        limit = memory_kib * 1024
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(genpos.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "genpos.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=cap_memory,
+    )
+
+
+def _assert_one_error_line(res):
+    assert res.returncode == 2
+    assert res.stdout == "" and "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
 # --- construct ---------------------------------------------------------------
 
 
@@ -96,8 +125,7 @@ _DEEP_SPEC = '{"family":"line_graph","args":[' * 1500 + '{"family":"complete","a
 )
 def test_deeply_nested_spec_exits_2(argv):
     # a real process, so an uncaught RecursionError would print its traceback
-    env = {**os.environ, "PYTHONPATH": str(Path(genpos.__file__).parents[1])}
-    res = subprocess.run([sys.executable, "-m", "genpos.cli", *argv], env=env, capture_output=True, text=True)
+    res = _run_cli(*argv)
     assert res.returncode == 2
     assert res.stderr == "error: JSON is nested too deeply\n"
     assert "Traceback" not in res.stdout + res.stderr
@@ -111,6 +139,7 @@ _K1000_SQUARED = json.dumps({"family": "cartesian_product", "args": [{"family": 
     [
         ["construct", "path", "100000000"],
         ["construct", "kneser", "30", "15"],
+        ["construct", "kneser", "1000000", "500000"],
         ["construct", "--spec", _K1000_SQUARED],
         ["verify", "--theorem", "thm2.3", "--grid", '[{"n": 30000, "k": 10000}]'],
         ["verify", "--theorem", "thm2.4", "--grid", '[{"n": %s}]' % ("9" * 2200)],
@@ -118,30 +147,30 @@ _K1000_SQUARED = json.dumps({"family": "cartesian_product", "args": [{"family": 
         ["construct", "complete", "300000"],
         ["construct", "edgeless", "300000"],
     ],
-    ids=["path", "kneser-30-15", "K1000xK1000", "thm2.3-reason", "thm2.4-order", "kneser-order", "complete", "edgeless"],
+    ids=[
+        "path",
+        "kneser-30-15",
+        "kneser-1000000-500000",
+        "K1000xK1000",
+        "thm2.3-reason",
+        "thm2.4-order",
+        "kneser-order",
+        "complete",
+        "edgeless",
+    ],
 )
 def test_huge_order_exits_2_before_anything_is_built(argv):
-    # a real process under a 600 MB address-space limit, set in the child
-    # only: building any of these graphs would raise a MemoryError, and
-    # printing C(30000, 9999) or C(n, 3) here would pass Python's digit limit
-    resource = pytest.importorskip("resource")
-    limit = 600_000 * 1024
+    # a real process under a 600 MB address-space limit: building any of
+    # these graphs would raise a MemoryError, and printing C(30000, 9999) or
+    # C(n, 3) here would pass Python's digit limit
+    _assert_one_error_line(_run_cli(*argv, memory_kib=600_000, timeout=10))
 
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    env = {**os.environ, "PYTHONPATH": str(Path(genpos.__file__).parents[1])}
-    res = subprocess.run(
-        [sys.executable, "-m", "genpos.cli", *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=10,
-        preexec_fn=cap_memory,
-    )
-    assert res.returncode == 2
-    assert res.stdout == "" and "Traceback" not in res.stderr
-    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+def test_huge_declared_order_exits_2_before_anything_is_built(tmp_path):
+    # the file only declares its order; one set per vertex would not fit
+    p = tmp_path / "big.json"
+    p.write_text('{"n": 100000000}')
+    _assert_one_error_line(_run_cli("gp", "--graph", str(p), memory_kib=600_000, timeout=10))
 
 
 def test_huge_kneser_is_refused_before_its_order_is_computed(runner):
@@ -180,6 +209,16 @@ def test_gp_bad_env_budget_exits_2(runner, petersen_file):
 
 
 @pytest.mark.parametrize(
+    "option, env, exit_code",
+    [("0", "soon", 0), ("nan", "0", 2)],
+    ids=["bad-variable-unread", "bad-option-used"],
+)
+def test_budget_option_beats_the_environment_variable(runner, petersen_file, option, env, exit_code):
+    res = runner.invoke(main, ["gp", "--graph", petersen_file, "--budget-ms", option], env={"GP_BUDGET_MS": env})
+    assert res.exit_code == exit_code
+
+
+@pytest.mark.parametrize(
     "args, env",
     [
         (["--budget-ms", "nan"], {}),
@@ -198,6 +237,19 @@ def test_invariant_rho(runner, petersen_file):
     assert res.exit_code == 0
     rec = json.loads(res.output)
     assert rec["value"] == 6 and rec["status"] == "exact"
+
+
+@pytest.mark.parametrize("suffix", [".g6", ".json"])
+def test_construct_out_file_feeds_gp_and_invariant(runner, tmp_path, suffix):
+    out = str(tmp_path / f"petersen{suffix}")
+    assert runner.invoke(main, ["construct", "kneser", "5", "2", "--out", out]).exit_code == 0
+    for argv, value in (
+        (["gp", "--budget-ms", "0"], 6),
+        (["invariant", "--which", "alpha"], 4),
+        (["invariant", "--which", "rho"], 6),
+    ):
+        res = runner.invoke(main, [*argv, "--graph", out])
+        assert (res.exit_code, json.loads(res.output)["value"]) == (0, value)
 
 
 def test_gp_on_malformed_file_exits_2(runner, tmp_path):
@@ -306,8 +358,7 @@ def test_predict_star_witness_boundary(runner, n, ids):
 )
 def test_predict_huge_kneser_gives_the_value_without_a_witness(argv):
     # a real process, so an uncaught OverflowError would print its traceback
-    env = {**os.environ, "PYTHONPATH": str(Path(genpos.__file__).parents[1])}
-    res = subprocess.run([sys.executable, "-m", "genpos.cli", "predict", *argv], env=env, capture_output=True, text=True)
+    res = _run_cli("predict", *argv)
     assert res.returncode == 0
     assert "Traceback" not in res.stdout + res.stderr
     rec = json.loads(res.stdout)
@@ -329,8 +380,7 @@ def test_predict_witness_cap_boundary(runner, argv, ids):
 @pytest.mark.parametrize("argv", [["line-complete", "1000000000"], ["hamming", "1000000000", "2"]], ids=["line-complete", "hamming"])
 def test_predict_huge_graph_gives_the_value_without_a_witness(argv):
     # a real process, so a MemoryError would print its traceback
-    env = {**os.environ, "PYTHONPATH": str(Path(genpos.__file__).parents[1])}
-    res = subprocess.run([sys.executable, "-m", "genpos.cli", "predict", *argv], env=env, capture_output=True, text=True)
+    res = _run_cli("predict", *argv)
     assert res.returncode == 0
     assert "Traceback" not in res.stdout + res.stderr
     rec = json.loads(res.stdout)
@@ -345,11 +395,21 @@ def test_predict_huge_graph_gives_the_value_without_a_witness(argv):
 def test_predict_number_past_the_digit_limit_exits_2(argv):
     # Python prints no int of more than 4300 digits: here the "inequality
     # fails" reason and the value C(n-1, 2) of gp(K(n,3)) would need one
-    env = {**os.environ, "PYTHONPATH": str(Path(genpos.__file__).parents[1])}
-    res = subprocess.run([sys.executable, "-m", "genpos.cli", "predict", *argv], env=env, capture_output=True, text=True)
-    assert res.returncode == 2
-    assert res.stdout == "" and "Traceback" not in res.stderr
-    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    _assert_one_error_line(_run_cli("predict", *argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ekr", "100000000000", "50000000000"], ["kneser-condition", "200000000000", "50000000000"]],
+    ids=["ekr", "kneser-condition"],
+)
+def test_predict_huge_k_exits_2_before_its_binomial_is_computed(argv):
+    # C(n-1, k-1) >= 2^min(k-1, n-k) has far more than 4300 digits, and
+    # computing it would take hours
+    t0 = time.perf_counter()
+    res = _run_cli("predict", *argv, timeout=10)
+    assert time.perf_counter() - t0 < 1.0
+    _assert_one_error_line(res)
 
 
 def test_predict_help_lists_every_subcommand(runner):

@@ -1,4 +1,5 @@
 import itertools
+import time
 from math import comb
 
 import pytest
@@ -86,6 +87,19 @@ def test_edges_and_labels_stream_into_from_edges(build, monkeypatch):
     assert lazy and all(lazy)
 
 
+@pytest.mark.parametrize(
+    "build, edges",
+    [(lambda: kneser(16, 8), 6435), (lambda: line_graph(path(20000)), 19998)],
+    ids=["K(16,8)", "L(P20000)"],
+)
+def test_constructors_work_in_proportion_to_their_edges(build, edges):
+    # 12,870 and 19,999 vertices: a scan of every vertex pair takes seconds
+    t0 = time.perf_counter()
+    g = build()
+    assert time.perf_counter() - t0 < 1.0
+    assert g.edge_count == edges
+
+
 # --- k-subset machinery ------------------------------------------------------
 
 
@@ -124,6 +138,15 @@ def test_kneser_regularity(n, k):
     assert all(g.degree(v) == want for v in range(g.n))
 
 
+def test_kneser_matches_its_definition():
+    # edges listed per subset against a scan of every pair for disjointness
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            subsets = [set(s) for s in itertools.combinations(range(1, n + 1), k)]
+            want = [(i, j) for i, j in itertools.combinations(range(len(subsets)), 2) if not subsets[i] & subsets[j]]
+            assert kneser(n, k).edges() == want
+
+
 # --- products, joins, unions --------------------------------------------------
 
 
@@ -145,7 +168,7 @@ def test_product_distances_add(g, h):
     dg, dh, dp = distances(g), distances(h), distances(prod)
     for a, b in itertools.product(range(g.n), range(h.n)):
         for c, d in itertools.product(range(g.n), range(h.n)):
-            assert dp.dist(a * h.n + b, c * h.n + d) == dg.dist(a, c) + dh.dist(b, d)
+            assert dp[a * h.n + b][c * h.n + d] == dg[a][c] + dh[b][d]
 
 
 def test_join_is_complete_bipartite_on_edgeless():
@@ -232,3 +255,11 @@ def test_line_graph_edge_count(g):
     lg = line_graph(g)
     assert lg.n == g.edge_count
     assert lg.edge_count == sum(comb(g.degree(v), 2) for v in range(g.n))
+
+
+@given(graphs(max_n=8))
+def test_line_graph_matches_its_definition(g):
+    # edges paired at each vertex against a scan of every pair for a shared end
+    ends = g.edges()
+    want = [(i, j) for i, j in itertools.combinations(range(len(ends)), 2) if set(ends[i]) & set(ends[j])]
+    assert line_graph(g).edges() == want

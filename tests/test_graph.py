@@ -106,32 +106,33 @@ def test_basic_accessors():
 
 
 def test_distances_path_and_cycle():
-    dm = distances(path(4))
-    assert dm.dist(0, 3) == 3
-    assert dm.dist(1, 2) == 1
-    dm = distances(cycle(6))
-    assert dm.dist(0, 3) == 3
-    assert dm.dist(0, 5) == 1
+    d = distances(path(4))
+    assert d[0][3] == 3
+    assert d[1][2] == 1
+    d = distances(cycle(6))
+    assert d[0][3] == 3
+    assert d[0][5] == 1
+    assert distances(path(2)) == ((0, 1), (1, 0))  # plain rows
 
 
 def test_distances_disconnected():
     g = disjoint_union(complete(2), complete(3))
-    dm = distances(g)
-    assert dm.dist(0, 2) == INFINITY
-    assert not dm.is_finite(0, 4)
-    assert dm.is_finite(0, 1)
+    d = distances(g)
+    assert d[0][2] == INFINITY
+    assert d[0][4] == INFINITY
+    assert d[0][1] != INFINITY
     # the sentinel must absorb, not overflow
-    assert dm.dist(0, 2) + 1 == INFINITY
+    assert d[0][2] + 1 == INFINITY
 
 
 @settings(max_examples=60)
 @given(graphs(max_n=8))
 def test_distances_match_floyd_warshall(g):
-    dm = distances(g)
+    d = distances(g)
     ref = oracles.dist_matrix(g.n, g.edges())
     for u in range(g.n):
         for v in range(g.n):
-            assert dm.dist(u, v) == ref[u][v]
+            assert d[u][v] == ref[u][v]
 
 
 @pytest.mark.parametrize(

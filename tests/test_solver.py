@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import genpos
 from genpos import (
     Budget,
     EXACT,
@@ -20,7 +21,6 @@ from genpos import (
     disjoint_union,
     distances,
     edgeless,
-    gp_auto,
     gp_exact,
     is_cluster_set,
     is_general_position,
@@ -46,26 +46,26 @@ MIXED = corpus.mixed_corpus(count=40, max_n=10, seed=31)
 
 
 def test_is_general_position_basics():
-    dm = distances(path(4))
-    assert is_general_position(dm, (0, 3))
-    assert not is_general_position(dm, (0, 1, 2))  # 1 lies between 0 and 2
-    assert is_general_position(dm, ())
-    assert is_general_position(dm, (2,))
-    dm = distances(cycle(4))
-    assert not is_general_position(dm, (0, 1, 2))
-    assert is_general_position(dm, (0, 1))
+    d = distances(path(4))
+    assert is_general_position(d, (0, 3))
+    assert not is_general_position(d, (0, 1, 2))  # 1 lies between 0 and 2
+    assert is_general_position(d, ())
+    assert is_general_position(d, (2,))
+    d = distances(cycle(4))
+    assert not is_general_position(d, (0, 1, 2))
+    assert is_general_position(d, (0, 1))
 
 
 def test_infinite_distances_never_violate():
     # two K_2 components: every triple leaves a component, so all 4 vertices fit
     g = disjoint_union(complete(2), complete(2))
-    dm = distances(g)
-    assert is_general_position(dm, (0, 1, 2, 3))
+    d = distances(g)
+    assert is_general_position(d, (0, 1, 2, 3))
 
 
 def test_duplicate_members_collapse():
-    dm = distances(path(4))
-    assert is_general_position(dm, (0, 0, 3))
+    d = distances(path(4))
+    assert is_general_position(d, (0, 0, 3))
 
 
 # --- exact solver vs brute force ------------------------------------------------
@@ -199,7 +199,7 @@ def test_deep_search_on_large_clique():
 def test_conflict_masks_match_definition(g):
     # level-built masks, on the bits the search uses, against a triple scan
     # of the distance matrix; internal vertex i is order[i]
-    d = distances(g).d
+    d = distances(g)
     bits, order = _degree_order(g)
     blocked = _conflict_masks(bits, SearchClock())
     for a, b in itertools.permutations(range(g.n), 2):
@@ -391,19 +391,17 @@ def test_elapsed_ms_covers_precompute():
     # still reports the distances and conflict masks it built
     g = kneser(9, 3)
     t0 = time.perf_counter()
-    res = gp_auto(g, Budget(max_nodes=0))
+    res = gp_exact(g, Budget(max_nodes=0))
     wall_ms = (time.perf_counter() - t0) * 1000.0
     assert res.elapsed_ms >= wall_ms / 2
 
 
-# --- gp_auto: the same search on every diameter -------------------------------------
+# --- gp_auto, and one search under every labelling ---------------------------------
 
 
 def test_gp_auto_dispatch():
-    for g in (path(5), cycle(5), kneser(5, 2), complete(4)):  # diameters 4, 2, 2, 1
-        assert gp_auto(g).method == "exact"
-    res = gp_auto(kneser(5, 2))
-    assert (res.value, res.status) == (6, EXACT)
+    # the old name of gp_exact stays importable: the benchmark imports it
+    assert genpos.gp_auto is genpos.gp_exact
 
 
 SYMMETRIC_SMALL = [kneser(6, 2), line_graph(complete(6)), cartesian_product(complete(4), complete(3))]
@@ -411,14 +409,14 @@ SYMMETRIC_SMALL = [kneser(6, 2), line_graph(complete(6)), cartesian_product(comp
 
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(graphs(max_n=8), st.sampled_from(SYMMETRIC_SMALL)), st.data())
-def test_gp_auto_equals_gp_exact(g, data):
-    # gp_auto on a relabelled copy agrees with gp_exact on the original:
+def test_gp_exact_ignores_relabelling(g, data):
+    # gp_exact on a relabelled copy agrees with gp_exact on the original:
     # the branching order moves with the labels, the result must not. The
     # copy carries no action, so a symmetric original's pruned search is
     # checked against the plain search in another order
     perm = data.draw(st.permutations(range(g.n)))
     h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    want, got = gp_exact(g), gp_auto(h)
+    want, got = gp_exact(g), gp_exact(h)
     assert (got.value, got.status) == (want.value, want.status)
     assert len(got.witness) == got.value
     assert is_general_position(distances(h), got.witness)
@@ -429,8 +427,8 @@ def test_gp_auto_equals_gp_exact(g, data):
 
 def test_characterization_accepts_gp_set():
     g = cycle(5)
-    dm = distances(g)
-    res = characterization_check(g, dm, (0, 1, 3))
+    d = distances(g)
+    res = characterization_check(g, d, (0, 1, 3))
     assert res.ok and bool(res)
     assert res.violation is None
     parts = res.partition.parts
@@ -472,7 +470,7 @@ def test_characterization_needs_connected_graph():
 @settings(max_examples=25, deadline=None)
 @given(connected_graphs(min_n=1, max_n=6))
 def test_characterization_equals_definition(g):
-    dm = distances(g)
+    d = distances(g)
     for r in range(g.n + 1):
         for s in itertools.combinations(range(g.n), r):
-            assert characterization_check(g, dm, s).ok == is_general_position(dm, s)
+            assert characterization_check(g, d, s).ok == is_general_position(d, s)

@@ -22,9 +22,11 @@ from genpos import (
     complete,
     corona,
     cycle,
+    decode_graph6,
     disjoint_union,
     distances,
     edgeless,
+    encode_graph6,
     gp_exact,
     induced_subgraph,
     is_general_position,
@@ -56,6 +58,21 @@ def test_constructors_attach_actions():
     a = corpus.hamming(2, 3, 2).action
     assert a.sizes == (2, 3, 2)
     assert a.points[11] == 0b10_100_10  # vertex (1, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        decode_graph6(encode_graph6(complete(5))),
+        Graph(complete(5).n, complete(5).adj),
+        join(complete(2), complete(3)),
+    ],
+    ids=["graph6", "copy", "join"],
+)
+def test_line_graph_of_any_complete_graph_carries_the_action(g):
+    # line_graph reads completeness off the edge count, not off g's action
+    assert g.action is None
+    assert line_graph(g).action == line_graph(complete(5)).action
 
 
 @pytest.mark.parametrize(
@@ -246,8 +263,9 @@ ILP_GRAPHS = SYMMETRIC + [
 @pytest.mark.parametrize("name,g", ILP_GRAPHS, ids=[name for name, _ in ILP_GRAPHS])
 def test_ilp_oracle_equals_gp_exact(name, g):
     pytest.importorskip("scipy")
-    value, witness = oracles.gp_ilp(distances(g).d)
-    assert is_general_position(distances(g), witness)
+    d = distances(g)
+    value, witness = oracles.gp_ilp(d)
+    assert is_general_position(d, witness)
     pruned, plain = gp_exact(g), gp_exact(corpus.action_free(g))
     assert (pruned.value, pruned.status) == (value, EXACT)
     assert (plain.value, plain.status) == (value, EXACT)
