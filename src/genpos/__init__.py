@@ -61,7 +61,6 @@ from .harness import (
 from .invariants import alpha, eta, is_cluster_set, omega, rho
 from .io import decode_graph6, encode_graph6, read_graph, write_graph
 from .solver import (
-    CharacterizationResult,
     CliquePartition,
     Violation,
     characterization_check,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Budget",
-    "CharacterizationResult",
     "CliquePartition",
     "EXACT",
     "Graph",

@@ -7,11 +7,12 @@ from the GP_BUDGET_MS environment variable when the option is not given
 
 Exit codes: 0 success / all verified, 1 mismatch (or, under --strict,
 timeout), 2 input error, 3 budget exhausted with unresolved grid points.
+Exit 2 comes from click's usage errors and from one gate, ``main``'s
+``invoke``, which prints an InputError from any subcommand as ``error: ...``.
 """
 
 from __future__ import annotations
 
-import functools
 import inspect
 import json
 import sys
@@ -20,7 +21,7 @@ from collections.abc import Callable
 import click
 
 from .budget import Budget, GpResult
-from .errors import InputError, ParseError, digit_limit
+from .errors import InputError, digit_limit
 from .formulas import (
     Prediction,
     ekr_bound,
@@ -37,24 +38,11 @@ from .graph import distances, is_connected
 from .harness import build_graph_spec, default_grid, emit_table, prediction_json, run_verify, theorem_ids
 from .io import dumps_json, encode_graph6, parse_json, read_graph, write_graph
 from .invariants import alpha, eta, omega, rho
-from .solver import characterization_check, gp_exact, is_general_position
+from .solver import CliquePartition, characterization_check, gp_exact, is_general_position
 
 
 def _budget(nodes: int | None, ms: float) -> Budget:
     return Budget(max_nodes=nodes, max_ms=None if ms <= 0 else ms)
-
-
-def _input_errors(f):
-    # uniform mapping of bad input to exit code 2
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except (InputError, ParseError) as e:
-            click.echo(f"error: {e}", err=True)
-            sys.exit(2)
-
-    return wrapper
 
 
 def _budget_options(f):
@@ -71,7 +59,18 @@ def _budget_options(f):
     return f
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; bad input from any subcommand exits 2 here."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InputError as e:  # ParseError too
+            click.echo(f"error: {e}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact general position numbers for finite graphs."""
 
@@ -82,7 +81,6 @@ def main():
 @click.option("--spec", "spec_json", default=None, help='Recursive JSON spec, e.g. \'{"family":"kneser","args":[5,2]}\'.')
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None, help="Write to a file instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["g6", "json"]), default=None, help="Output format (default: by extension, else g6).")
-@_input_errors
 def construct(family, args, spec_json, out_path, fmt):
     """Build a named graph family (e.g. `construct kneser 5 2`)."""
     if spec_json is not None:
@@ -106,7 +104,6 @@ def _result_record(r: GpResult) -> dict:
 @main.command("gp")
 @click.option("--graph", "path", required=True, type=click.Path(exists=True, dir_okay=False))
 @_budget_options
-@_input_errors
 def gp_cmd(path, budget_nodes, budget_ms):
     """Compute gp(G) with witness."""
     r = gp_exact(read_graph(path), _budget(budget_nodes, budget_ms))
@@ -117,7 +114,6 @@ def gp_cmd(path, budget_nodes, budget_ms):
 @click.option("--which", type=click.Choice(["omega", "alpha", "eta", "rho"]), required=True)
 @click.option("--graph", "path", required=True, type=click.Path(exists=True, dir_okay=False))
 @_budget_options
-@_input_errors
 def invariant(which, path, budget_nodes, budget_ms):
     """Compute ω, α, η, or ρ with witness."""
     fn = {"omega": omega, "alpha": alpha, "eta": eta, "rho": rho}[which]
@@ -150,7 +146,6 @@ def _echo_prediction(theorem: str, params: dict, predict: Callable[[], Predictio
 @click.argument("gp_h", type=int)
 @click.option("--n-g", type=int, default=None, help="Order of G (adds the trivial upper bound).")
 @click.option("--n-h", type=int, default=None, help="Order of H.")
-@_input_errors
 def predict_cartesian_lower(gp_g, gp_h, n_g, n_h):
     """gp(G□H) >= gp(G) + gp(H) - 2."""
     _echo_prediction("thm3.1", {"gp_g": gp_g, "gp_h": gp_h}, lambda: gp_cartesian_lower(gp_g, gp_h, n_g, n_h))
@@ -158,7 +153,6 @@ def predict_cartesian_lower(gp_g, gp_h, n_g, n_h):
 
 @predict.command("hamming")
 @click.argument("ns", nargs=-1, type=int, required=True)
-@_input_errors
 def predict_hamming(ns):
     """gp(K_{n1} [] ... [] K_{nk}) >= sum(n_i) - k (exact for k=2)."""
     _echo_prediction("thm3.2", {"ns": list(ns)}, lambda: hamming_lower(list(ns)))
@@ -178,7 +172,6 @@ _PREDICTIONS = {
 
 
 def _add_prediction(name: str, theorem: str, formula, doc: str) -> None:
-    @_input_errors
     def command(**params):
         _echo_prediction(theorem, params, lambda: formula(**params))
 
@@ -194,7 +187,6 @@ for _name, _entry in _PREDICTIONS.items():
 @main.command("check-set")
 @click.option("--graph", "path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--set", "members", required=True, help="Comma-separated vertex ids, e.g. 0,2,5.")
-@_input_errors
 def check_set(path, members):
     """Test a vertex set: definition and structural characterization."""
     g = read_graph(path)
@@ -207,20 +199,17 @@ def check_set(path, members):
     record = {"set": sorted(set(s)), "general_position": gp_ok}
     if is_connected(g):
         res = characterization_check(g, d, s)
-        if res.ok:
-            record["characterization"] = {
-                "ok": True,
-                "parts": [list(p) for p in res.partition.parts],
-            }
+        ok = isinstance(res, CliquePartition)
+        if ok:
+            record["characterization"] = {"ok": True, "parts": [list(p) for p in res.parts]}
         else:
-            v = res.violation
             record["characterization"] = {
                 "ok": False,
-                "condition": v.condition,
-                "vertices": list(v.vertices),
-                "detail": v.detail,
+                "condition": res.condition,
+                "vertices": list(res.vertices),
+                "detail": res.detail,
             }
-        record["agree"] = res.ok == gp_ok
+        record["agree"] = ok == gp_ok
     else:
         record["characterization"] = None
         record["note"] = "structural characterization needs a connected graph"
@@ -235,7 +224,6 @@ def check_set(path, members):
 @click.option("--grid", "grid_json", default=None, help="JSON list of parameter points for --theorem (overrides the manifest).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json-lines"]), default="csv")
 @_budget_options
-@_input_errors
 def verify(run_all, theorem_id, quick, strict, grid_json, fmt, budget_nodes, budget_ms):
     """Check theorem predictions against the solver over parameter grids."""
     if theorem_id is not None and run_all:

@@ -20,13 +20,15 @@ hands its order to that check before it does. ``kneser`` and ``line_graph``
 list their edges directly, in time proportional to their number.
 
 Some constructors also attach the symmetry they know as a
-:class:`~genpos.graph.GroundAction`: ``complete`` and ``edgeless`` (Sym(n)
-on the vertices), ``kneser`` (Sym(n) on {1..n}), ``line_graph`` of any
+:class:`~genpos.graph.GroundAction`: ``complete`` (Sym(n) on the
+vertices), ``kneser`` (Sym(n) on {1..n}), ``line_graph`` of any
 complete graph, with or without an action (Sym(n) on the ends of the
 edges), and ``cartesian_product`` of two factors that both carry one, which
 puts h's ground set above g's, so that each factor's blocks keep their bits.
 The graph checks the action when it is built. Every other graph, including
 a product with an action-free factor such as K_q □ C_m, has no action.
+``edgeless`` has none either: E_n's masks are all 0, so no orbit is ever
+removed, and Sym(n) would list a point per vertex, about n²/16 bytes.
 """
 
 from __future__ import annotations
@@ -55,8 +57,7 @@ def edgeless(n: int) -> Graph:
     """The empty graph on n vertices."""
     if n < 1:
         raise InputError(f"edgeless(n) needs n >= 1, got {n}")
-    _check_count(n)  # before the action lists a point per vertex
-    return Graph.from_edges(n, [], action=_sym(n, (1 << v for v in range(n))))
+    return Graph.from_edges(n, [])
 
 
 def path(n: int) -> Graph:

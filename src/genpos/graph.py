@@ -62,7 +62,7 @@ class GroundAction:
     ``points[v]`` is the bitmask over the ground set ``{0..sum(sizes)-1}``
     that vertex v stands for: the k-subset of a Kneser vertex, the two ends
     of an edge of K_n in L(K_n), one element of each block for a vertex of
-    a product of complete or edgeless graphs. Block c is the bit range
+    a product of complete graphs. Block c is the bit range
     ``[offset, offset + sizes[c])``, with offset ``sum(sizes[:c])``, and
     Sym(sizes[c]) permutes it, independently for each c. A :class:`Graph`
     built with an action checks that these permutations are automorphisms.
@@ -230,8 +230,6 @@ def distances(g: Graph) -> tuple[tuple[float, ...], ...]:
 
 def diameter(g: Graph) -> float:
     """Max pairwise distance; INFINITY when g is disconnected; 0 when n <= 1."""
-    if g.n <= 1:
-        return 0
     worst: float = 0
     for row in distances(g):
         m = max(row)

@@ -205,8 +205,6 @@ def default_grid(theorem_id: str, stretch: bool = False) -> list[dict]:
 def _verdict(pred: Prediction, computed: GpResult | None, unfinished_inputs: bool) -> str:
     if not pred.applicable:
         return NOT_APPLICABLE
-    if computed is None:
-        return TIMEOUT
     if unfinished_inputs:
         # inputs from unfinished searches only bound the prediction from
         # below: falling below it still refutes, meeting it confirms nothing

@@ -30,7 +30,7 @@ so for ``status="exact"`` the witness is reproducible. When the budget runs
 out the loop ends and the best set found so far is returned with
 ``status="lower-bound"``; no search raises for running out of budget. Each
 returns the gp search's :class:`~genpos.budget.GpResult`, with ``method``
-"omega", "alpha" or "rho" (η returns ρ's result).
+"omega", "alpha" or "rho" (``eta`` is ``rho``, the same function).
 """
 
 from __future__ import annotations
@@ -145,9 +145,7 @@ def rho(g: Graph, budget: Budget | None = None) -> GpResult:
     return clock.result(*_run_gp(g, clock, _p3_masks), "rho")
 
 
-def eta(g: Graph, budget: Budget | None = None) -> GpResult:
-    """η(g): maximum order of an induced complete multipartite subgraph of
-    the complement; equivalently the largest S with g[S] a cluster graph.
-
-    The same search as :func:`rho`, with the same result."""
-    return rho(g, budget)
+# η(g), the maximum order of an induced complete multipartite subgraph of the
+# complement, is the largest S with g[S] a cluster graph, which is ρ(g)
+# (module docstring); so η is ρ, one function, and its method is "rho"
+eta = rho

@@ -11,7 +11,8 @@ Two independent membership tests are provided: the distance-arithmetic
 definition (:func:`is_general_position`) and the structural characterization
 (:func:`characterization_check`): S is general position iff the components
 of G[S] are cliques whose vertex sets form a distance-constant, in-transitive
-partition. Both read the plain rows of :func:`genpos.graph.distances`, a BFS
+partition, so it returns that partition or the first condition that fails.
+Both read the plain rows of :func:`genpos.graph.distances`, a BFS
 that the search below does not share.
 
 ``gp_exact`` is the one gp search, for graphs of every diameter. Its loop
@@ -195,16 +196,6 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True, slots=True)
-class CharacterizationResult:
-    ok: bool
-    partition: CliquePartition | None
-    violation: Violation | None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def is_general_position(d, s) -> bool:
     """Definition-based test on the distance rows ``d``: no member between two others."""
     sv = vertex_set(s, len(d))
@@ -217,18 +208,18 @@ def is_general_position(d, s) -> bool:
     return True
 
 
-def characterization_check(g: Graph, d, s) -> CharacterizationResult:
+def characterization_check(g: Graph, d, s) -> CliquePartition | Violation:
     """Structural test for connected g: clique components, distance-constant
-    and in-transitive between parts. Returns the partition or the first
-    violation found (components are scanned in order of minimum member),
-    reading g's distance rows ``d``."""
+    and in-transitive between parts. Returns the :class:`CliquePartition`
+    when s passes, else the first :class:`Violation` found (components are
+    scanned in order of minimum member), reading g's distance rows ``d``."""
     if not is_connected(g):
         raise InputError("characterization_check needs a connected graph")
     sv = vertex_set(s, g.n)
     parts = [tuple(sv[i] for i in comp) for comp in connected_components(induced_subgraph(g, sv))]
 
-    def fail(condition: str, verts, detail: str) -> CharacterizationResult:
-        return CharacterizationResult(False, None, Violation(condition, vertex_set(verts, g.n), detail))
+    def fail(condition: str, verts, detail: str) -> Violation:
+        return Violation(condition, vertex_set(verts, g.n), detail)
 
     for part in parts:
         for u, v in combinations(part, 2):
@@ -261,8 +252,7 @@ def characterization_check(g: Graph, d, s) -> CharacterizationResult:
                     f"{dist[x][y]} = {dist[x][m]} + {dist[m][y]}",
                 )
 
-    partition = CliquePartition(tuple(parts), tuple(tuple(row) for row in dist))
-    return CharacterizationResult(True, partition, None)
+    return CliquePartition(tuple(parts), tuple(tuple(row) for row in dist))
 
 
 def _conflict_masks(bits: list[int], clock: SearchClock) -> list[list[int]] | None:

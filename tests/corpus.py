@@ -120,7 +120,6 @@ def symmetric_named():
     builds = {
         "K1": complete(1),
         "K5": complete(5),
-        "E4": edgeless(4),
         "K(4,2)": kneser(4, 2),  # 3K_2, disconnected
         "K(5,2)": kneser(5, 2),
         "K(6,2)": kneser(6, 2),
@@ -139,7 +138,6 @@ def symmetric_named():
         "K5xK5": hamming(5, 5),
         "K2xK2xK3": hamming(2, 2, 3),
         "Q4": hamming(2, 2, 2, 2),
-        "E2xK3": cartesian_product(edgeless(2), complete(3)),  # disconnected
         "K(5,2)xK2": cartesian_product(kneser(5, 2), complete(2)),
         "L(K4)xK2": cartesian_product(line_graph(complete(4)), complete(2)),
     }

@@ -173,6 +173,13 @@ def test_huge_declared_order_exits_2_before_anything_is_built(tmp_path):
     _assert_one_error_line(_run_cli("gp", "--graph", str(p), memory_kib=600_000, timeout=10))
 
 
+def test_edgeless_inside_the_order_limit_fits_in_memory():
+    # E_n carries no action, so nothing lists a point per vertex (about n²/16 bytes)
+    res = _run_cli("construct", "edgeless", "100000", "--format", "json", memory_kib=600_000, timeout=10)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {"n": 100000, "edges": []}
+
+
 def test_huge_kneser_is_refused_before_its_order_is_computed(runner):
     # C(10^6, 5 * 10^5) has about 300,000 digits, and computing it takes
     # seconds; 2^min(k, n - k) already passes the order limit
@@ -539,6 +546,15 @@ def test_verify_timeout_exit_codes(runner):
     assert ",timeout," in res.output
     res = runner.invoke(main, args + ["--strict"])
     assert res.exit_code == 1
+    # an unfinished input search leaves a note in the JSON-lines record
+    p3 = {"family": "path", "args": [3]}
+    grid = json.dumps([{"g": p3, "h": p3}])
+    args = ["verify", "--theorem", "prop4.2", "--budget-nodes", "1", "--format", "json-lines", "--grid", grid]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    rec = json.loads(res.output)
+    assert rec["verdict"] == "timeout"
+    assert rec["note"] == "prediction is a lower bound: an input search hit the budget"
 
 
 @pytest.mark.parametrize(

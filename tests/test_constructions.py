@@ -54,6 +54,12 @@ def test_small_family_validation():
         cycle(2)
     with pytest.raises(InputError):
         complete(0)
+    with pytest.raises(InputError):
+        edgeless(0)
+    with pytest.raises(InputError):
+        kneser(2, 3)
+    with pytest.raises(InputError):
+        ksubset_index(5, (3, 1))  # not sorted
 
 
 @pytest.mark.parametrize(

@@ -101,6 +101,18 @@ def test_not_applicable_point():
     assert reports[0].verdict == "not-applicable"
     assert reports[0].computed is None
     assert "t=2" in reports[0].predicted.reason
+    # the other runners' not-applicable returns, and thm2.3 below diameter 2
+    p3 = {"family": "path", "args": [3]}
+    points = [
+        ("thm3.1", {"g": {"family": "edgeless", "args": [2]}, "h": p3}, "connected"),
+        ("thm4.3", {"g": {"family": "complete", "args": [1]}, "h": p3}, "n(G) >= 2"),
+        ("ekr", {"n": 5, "k": 3}, "n >= 2k"),
+        ("thm2.3", {"n": 7, "k": 3}, "3k-1"),
+    ]
+    for theorem, point, reason in points:
+        (r,) = run_verify(theorem, [point])
+        assert (r.verdict, r.computed) == ("not-applicable", None), theorem
+        assert reason in r.predicted.reason, theorem
 
 
 def test_timeout_verdict_not_mismatch():

@@ -258,6 +258,7 @@ def test_result_is_frozen():
 
 
 def test_every_search_returns_one_result_type():
+    assert eta is rho  # one function: the largest induced cluster subgraph
     g = kneser(5, 2)
     for fn, method in ((omega, "omega"), (alpha, "alpha"), (rho, "rho"), (eta, "rho")):
         res = fn(g)

@@ -9,10 +9,12 @@ from hypothesis import example, given, settings
 import genpos
 from genpos import (
     Budget,
+    CliquePartition,
     EXACT,
     Graph,
     InputError,
     LOWER_BOUND,
+    Violation,
     cartesian_product,
     characterization_check,
     complete,
@@ -386,6 +388,19 @@ def test_budget_covers_precompute():
     assert is_general_position(distances(g), res.witness)
 
 
+def test_budget_stops_the_search_itself():
+    # Q7's masks take tens of ms, its search seconds: the clock, read every
+    # 256 nodes, runs out inside the search and not in precompute
+    g = corpus.hamming(2, 2, 2, 2, 2, 2, 2)
+    t0 = time.perf_counter()
+    res = gp_exact(g, Budget(max_ms=200))
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    assert res.status == LOWER_BOUND
+    assert res.nodes_explored > 0 and res.nodes_explored % 256 == 0
+    assert is_general_position(distances(g), res.witness)
+    assert wall_ms < 200 + 50
+
+
 def test_elapsed_ms_covers_precompute():
     # the clock runs from the call's start, so a call that searches nothing
     # still reports the distances and conflict masks it built
@@ -429,12 +444,11 @@ def test_characterization_accepts_gp_set():
     g = cycle(5)
     d = distances(g)
     res = characterization_check(g, d, (0, 1, 3))
-    assert res.ok and bool(res)
-    assert res.violation is None
-    parts = res.partition.parts
+    assert isinstance(res, CliquePartition)
+    parts = res.parts
     assert sorted(v for p in parts for v in p) == [0, 1, 3]
     assert (0, 1) in parts and (3,) in parts
-    dmat = res.partition.part_distances
+    dmat = res.part_distances
     assert all(dmat[i][i] == 0 for i in range(len(parts)))
     assert dmat[0][1] == dmat[1][0] == 2
 
@@ -442,23 +456,23 @@ def test_characterization_accepts_gp_set():
 def test_characterization_clique_violation():
     g = path(4)
     res = characterization_check(g, distances(g), (0, 1, 2))
-    assert not res.ok
-    assert res.violation.condition == "clique"
+    assert isinstance(res, Violation)
+    assert res.condition == "clique"
 
 
 def test_characterization_distance_constant_violation():
     g = path(4)
     res = characterization_check(g, distances(g), (0, 1, 3))
-    assert not res.ok
-    assert res.violation.condition == "distance-constant"
+    assert isinstance(res, Violation)
+    assert res.condition == "distance-constant"
 
 
 def test_characterization_in_transitive_violation():
     g = path(5)
     res = characterization_check(g, distances(g), (0, 2, 4))
-    assert not res.ok
-    assert res.violation.condition == "in-transitive"
-    assert set(res.violation.vertices) == {0, 2, 4}
+    assert isinstance(res, Violation)
+    assert res.condition == "in-transitive"
+    assert set(res.vertices) == {0, 2, 4}
 
 
 def test_characterization_needs_connected_graph():
@@ -473,4 +487,4 @@ def test_characterization_equals_definition(g):
     d = distances(g)
     for r in range(g.n + 1):
         for s in itertools.combinations(range(g.n), r):
-            assert characterization_check(g, d, s).ok == is_general_position(d, s)
+            assert isinstance(characterization_check(g, d, s), CliquePartition) == is_general_position(d, s)

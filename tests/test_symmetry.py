@@ -169,7 +169,6 @@ ORBIT_GRAPHS = [
     ("K(6,3)", kneser(6, 3)),
     ("K(4,1)", kneser(4, 1)),
     ("L(K6)", line_graph(complete(6))),
-    ("E5", edgeless(5)),
     ("K3xK3", corpus.hamming(3, 3)),
     ("K2xK4", corpus.hamming(2, 4)),
     ("K2xK2xK3", corpus.hamming(2, 2, 3)),
