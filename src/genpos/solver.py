@@ -54,14 +54,14 @@ set with status "lower-bound".
 
 The search runs on an explicit stack, one list of frames, so its depth is
 not bounded by Python's recursion limit. The frame of chosen prefix S is
-[C, P, A]: its candidates C, the vertices not yet branched on that each
+[C, P, A, O]: its candidates C, the vertices not yet branched on that each
 keep S plus itself free of forbidden triples (no subset of a set without
 one has one, so this pruning is lossless); a conflict table P: P_S[y], for
 y in C, is the OR over s in S of the masks of the pairs (y, s), the
-vertices z that some member of S makes a forbidden triple with y; and the
-cells A of orbit pruning (below). Branching on x kills P_S[x]; the child's
-table is P_S[y] | mask(x, y) over the surviving candidates, one operation
-per candidate.
+vertices z that some member of S makes a forbidden triple with y; the
+cells A of orbit pruning (below); and the tops O of its cover (below).
+Branching on x kills P_S[x]; the child's table is P_S[y] | mask(x, y) over
+the surviving candidates, one operation per candidate.
 
 Two candidates y and z conflict below S when z is in P_S[y]. A set T with no
 forbidden triple that extends S inside S + C holds no conflicting pair, so
@@ -69,7 +69,7 @@ it holds at most one vertex of each clique of the conflict graph, and |S|
 plus the number of cliques in any clique cover of C bounds |T|. This is the
 colouring bound of maximum-clique search (Tomita & Seki, DMTCS 2003) on the
 conflict graph's complement. The cover is greedy: each clique starts at the
-lowest vertex left and absorbs, lowest first, the vertices left that
+highest vertex left and absorbs, highest first, the vertices left that
 conflict with every vertex taken so far. It is built for each child, with
 room the number of vertices the child may add before it only ties the
 incumbent, and it stops as soon as the answer is known: once its cliques
@@ -77,9 +77,18 @@ have absorbed |C| - room vertices beyond their first (it fits), or once room
 cliques are open with vertices still unabsorbed (it does not); then it
 fills in the child's table. A child whose cover fits is not opened: x's
 branch ends as if no candidate had survived, at the one site where a branch
-whose frame ran out ends, and no set in it beats the incumbent. Branching
-follows descending degree (ties by id) and the incumbent is replaced only
-on strict improvement, so exact results are deterministic.
+whose frame ran out ends, and no set in it beats the incumbent.
+
+A child whose cover does not fit opens with its tops O: the first, and so
+highest, vertex of each of its room cliques, plus every vertex left over as
+a clique of its own. A clique meets the tail {y in C : y >= x} exactly when
+its top is at least x, and a frame branches on its lowest candidate x
+first, so |S| + min(|C|, tops at or above x) bounds every set its remaining
+branches reach (MCQ's colour-order bound, from the one cover per child); a
+frame ends once that bound does not beat the incumbent. The root's O is
+every vertex. Branching follows descending degree (ties by id) and the
+incumbent is replaced only on strict improvement, so exact results are
+deterministic.
 
 Orbit pruning. A graph built by a constructor may carry a ground-set action
 (:class:`~genpos.graph.GroundAction`): each vertex is one bitmask over a
@@ -114,10 +123,14 @@ member y of x's orbit and avoids X, the image of T under a stabilizer
 element taking y to x contains S and x and avoids X: it lies in x's
 subtree, which has already been searched. A child closed by its cover
 counts as searched: its subtree holds no set larger than the incumbent, so
-neither does the orbit it sends away. By the same argument, and because a
-bound only closes subtrees that cannot strictly beat the incumbent, neither
-pruning removes the first maximum set in search order: value, witness and
-status are those of the search without them; only the node count falls.
+neither does the orbit it sends away. So does a frame closed by its tail
+bound: the branches it skips hold no set larger than the incumbent, and
+the incumbent only grows. A frame that its tail bound is about to close
+computes no orbit, since no candidate it would remove is branched on. By
+the same argument, and because the bounds only close subtrees that cannot
+strictly beat the incumbent, no pruning removes the first maximum set in
+search order: value, witness and status are those of the search without
+them; only the node count falls.
 
 Disconnected inputs are handled by the same definition under the infinity
 semantics above — no component decomposition is attempted. This reproduces
@@ -398,40 +411,43 @@ def _orbit(C: int, x: int, cells: list[int], M: list[int]) -> int:
     return C
 
 
-def _cover(C: int, P: list[int], bx: list[int], room: int, Q: list[int]) -> bool:
+def _cover(C: int, P: list[int], bx: list[int], room: int, Q: list[int]) -> int:
     """Greedy clique cover of C's conflict graph, y and z conflicting when
-    z is in P[y] | bx[y] (see the module docstring).
+    z is in P[y] | bx[y] (see the module docstring), built from the highest
+    vertex down.
 
-    Returns whether the cover needs more than room cliques; then Q[y] =
-    P[y] | bx[y] for every y in C, the whole child table. spare counts the
-    vertices the cliques must still absorb beyond their first for the cover
-    to fit.
+    Returns 0 when the cover fits in room cliques. Otherwise it returns the
+    tops O: the highest member of each of the room cliques built, plus every
+    vertex left over, each a clique of its own; then Q[y] = P[y] | bx[y] for
+    every y in C, the whole child table. spare counts the vertices the
+    cliques must still absorb beyond their first for the cover to fit.
     """
     spare = C.bit_count() - room
     if spare <= 0:
-        return False
+        return 0
+    O = 0
     while room:
         room -= 1
-        low = C & -C
-        C ^= low
-        y = low.bit_length() - 1
+        y = C.bit_length() - 1
+        top = 1 << y
+        C ^= top
+        O |= top
         Q[y] = q = P[y] | bx[y]
         K = C & q
         while K:
             spare -= 1
             if not spare:
-                return False
-            low = K & -K
-            C ^= low
-            y = low.bit_length() - 1
+                return 0
+            y = K.bit_length() - 1
+            C ^= 1 << y
             Q[y] = q = P[y] | bx[y]
             K &= q
+    O |= C
     while C:  # it does not fit: fill in the vertices it has not taken
-        low = C & -C
-        C ^= low
-        y = low.bit_length() - 1
+        y = C.bit_length() - 1
+        C ^= 1 << y
         Q[y] = P[y] | bx[y]
-    return True
+    return O
 
 
 def _run_gp(
@@ -452,25 +468,29 @@ def _run_gp(
     best: list[int] = []
     best_size = 0
 
-    # Depth-first search on an explicit stack of frames [C, P, A], one per
+    # Depth-first search on an explicit stack of frames [C, P, A, O], one per
     # prefix chosen[:i]: C holds the candidates not yet branched on, each of
     # which keeps chosen[:i] plus itself free of forbidden triples; P[y], for
     # y in C, the vertices z that some s in chosen[:i] makes a forbidden
     # triple with y; A the cells of the ground set that Stab(chosen[:i])
     # permutes, or None when that stabilizer moves nothing (and so do all
-    # below it). A branch on x ends at one site, reached when x's frame is
-    # exhausted or when the cover closes it before it opens; there x's whole
-    # orbit under its parent's stabilizer leaves the parent's C.
+    # below it); O the tops of the frame's cover, so (O & -xbit).bit_count()
+    # bounds the vertices at or above x, the lowest in C, that a set below
+    # chosen[:i] may add. A branch on x ends at one site, reached when x's
+    # frame is exhausted or closed by that tail bound, or when the cover
+    # closes it before it opens; there x's whole orbit under its parent's
+    # stabilizer leaves the parent's C, unless the parent's tail bound is
+    # about to close it.
     # len(chosen) never exceeds best_size.
     tick = clock.tick
     chosen: list[int] = []
-    frames = [[(1 << n) - 1, [0] * n, root]]
+    frames = [[(1 << n) - 1, [0] * n, root, (1 << n) - 1]]
     while frames:
-        C, P, A = frame = frames[-1]
+        C, P, A, O = frame = frames[-1]
         if C and not tick():
             break
-        if len(chosen) + C.bit_count() > best_size:
-            xbit = C & -C
+        xbit = C & -C
+        if len(chosen) + min(C.bit_count(), (O & -xbit).bit_count()) > best_size:
             C ^= xbit
             frame[0] = C
             x = xbit.bit_length() - 1
@@ -480,9 +500,10 @@ def _run_gp(
                 best = chosen.copy()
             newC = C & ~P[x]
             Q = P.copy()
-            if _cover(newC, P, blocked[x], best_size - len(chosen), Q):
+            tops = _cover(newC, P, blocked[x], best_size - len(chosen), Q)
+            if tops:
                 # some set below chosen may beat the incumbent: open the child
-                frames.append([newC, Q, A and _refine(A, xs[x], ground)])
+                frames.append([newC, Q, A and _refine(A, xs[x], ground), tops])
                 continue
             # no set below chosen beats the incumbent: x's branch is done
         else:
@@ -490,9 +511,9 @@ def _run_gp(
             frames.pop()
             if not frames:
                 break
-            C, _, A = frame = frames[-1]
+            C, _, A, O = frame = frames[-1]
         x = chosen.pop()
-        if A is not None and len(chosen) + C.bit_count() > best_size:
+        if A is not None and len(chosen) + min(C.bit_count(), (O & -(C & -C)).bit_count()) > best_size:
             frame[0] = C & ~_orbit(C, xs[x], A, M)
     return best_size, _to_original(best, order)
 

@@ -111,13 +111,14 @@ def test_empty_graph():
 @pytest.mark.parametrize(
     "g,value,nodes",
     [
-        pytest.param(corpus.action_free(kneser(7, 3)), 15, 838, id="K(7,3)-action-free"),  # 6,569
-        pytest.param(cartesian_product(cycle(6), cycle(6)), 6, 799, id="C6xC6"),  # 8,850
+        pytest.param(corpus.action_free(kneser(7, 3)), 15, 403, id="K(7,3)-action-free"),  # 838; 6,569
+        pytest.param(cartesian_product(cycle(6), cycle(6)), 6, 368, id="C6xC6"),  # 799; 8,850
     ],
 )
 def test_node_counts_pinned(g, value, nodes):
     # any change to the search tree (order, bound, masks) moves these counts;
-    # the comments give them with |chosen| + |candidates| as the only bound
+    # the comments give them before the frames' tail bound, then with
+    # |chosen| + |candidates| as the only bound
     res = gp_exact(g)
     assert (res.value, res.status, res.nodes_explored) == (value, EXACT, nodes)
 
@@ -125,15 +126,16 @@ def test_node_counts_pinned(g, value, nodes):
 @pytest.mark.parametrize(
     "g,value,nodes",
     [
-        pytest.param(kneser(8, 3), 21, 1272, id="K(8,3)"),  # 47,963; 1,419,313
-        pytest.param(line_graph(complete(12)), 12, 114, id="L(K12)"),  # 1,529,860; 13,919,095
-        pytest.param(cartesian_product(complete(7), complete(7)), 12, 192, id="K7xK7"),  # 375,607; 3,982,281
+        pytest.param(kneser(8, 3), 21, 906, id="K(8,3)"),  # 1,272; 47,963; 1,419,313
+        pytest.param(line_graph(complete(12)), 12, 104, id="L(K12)"),  # 114; 1,529,860; 13,919,095
+        pytest.param(cartesian_product(complete(7), complete(7)), 12, 192, id="K7xK7"),  # 192; 375,607; 3,982,281
     ],
 )
 def test_pruned_node_counts_pinned(g, value, nodes):
     # the orbit pruning's tree: any change to the cells or the orbits moves
-    # these; the comments give them without the action, then without the
-    # action and with |chosen| + |candidates| as the only bound
+    # these; the comments give them before the frames' tail bound: with the
+    # action, without it, and without it with |chosen| + |candidates| as the
+    # only bound
     res = gp_exact(g)
     assert (res.value, res.status, res.nodes_explored) == (value, EXACT, nodes)
 
@@ -162,9 +164,10 @@ def test_witnesses_pinned(g, witness):
 
 
 def test_kneser_9_4_exact():
-    # no closed form covers K(9,4) (n < 3k - 1); the pruned search settles it
+    # no closed form covers K(9,4) (n < 3k - 1); the pruned search settles it,
+    # in 26,124 nodes without the frames' tail bound
     res = gp_exact(kneser(9, 4))
-    assert (res.value, res.status) == (26, EXACT)
+    assert (res.value, res.status, res.nodes_explored) == (26, EXACT, 5185)
     assert res.witness == (
         0, 1, 2, 3, 4, 5, 36, 37, 38, 39, 52, 53, 54, 55,
         75, 76, 77, 84, 85, 86, 98, 99, 100, 101, 102, 103,
@@ -264,10 +267,12 @@ def test_p3_masks_match_definition(g):
 def test_clique_cover_bounds_every_extension(g, rnd):
     # for general position sets S and the vertices C that each keep it in
     # general position, the cover never fits in less room than the largest
-    # general position T with S <= T <= S + C needs beyond S. The table is
-    # built as the search keeps it, with S's last vertex x split off; T comes
-    # from enumeration over Floyd-Warshall distances. Internal vertex i is
-    # order[i].
+    # general position T with S <= T <= S + C needs beyond S; and when it
+    # does not fit, its tops at or above each x in C are at least as many as
+    # the largest such T needs inside the y >= x of C, the tail bound of the
+    # child's frame. The table is built as the search keeps it, with S's last
+    # vertex x split off; T comes from enumeration over Floyd-Warshall
+    # distances. Internal vertex i is order[i].
     n = g.n
     bits, order = _degree_order(g)
     blocked = _conflict_masks(bits, SearchClock())
@@ -286,13 +291,19 @@ def test_clique_cover_bounds_every_extension(g, rnd):
             bx = blocked[x]
             for s in rest:
                 P = [p | b for p, b in zip(P, blocked[s])]
+        tail_need = {x: len(oracles.largest_extension(d, S, [y for y in C if y >= x])) - len(S) for x in C}
         mask = sum(1 << v for v in C)
-        for room in range(need):
+        for room in range(len(C) + 1):
             Q = [None] * n
-            assert _cover(mask, P, bx, room, Q) is True, (S, room)
-            # the child opens with its whole table
+            tops = _cover(mask, P, bx, room, Q)
+            if room == len(C):
+                assert tops == 0, S
+            if not tops:
+                assert room >= need, (S, room)
+                continue
+            # the child opens with its whole table and the tops of its cover
             assert all(Q[y] == P[y] | bx[y] for y in C), (S, room)
-        assert _cover(mask, P, bx, len(C), [None] * n) is False
+            assert all((tops >> x).bit_count() >= tail_need[x] for x in C), (S, room)
 
 
 # --- budgets ------------------------------------------------------------------
