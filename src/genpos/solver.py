@@ -65,25 +65,38 @@ the surviving candidates, one operation per candidate.
 
 Two candidates y and z conflict below S when z is in P_S[y]. A set T with no
 forbidden triple that extends S inside S + C holds no conflicting pair, so
-it holds at most one vertex of each clique of the conflict graph, and |S|
-plus the number of cliques in any clique cover of C bounds |T|. This is the
-colouring bound of maximum-clique search (Tomita & Seki, DMTCS 2003) on the
-conflict graph's complement. The cover is greedy: each clique starts at the
-highest vertex left and absorbs, highest first, the vertices left that
-conflict with every vertex taken so far. It is built for each child, with
-room the number of vertices the child may add before it only ties the
-incumbent, and it stops as soon as the answer is known: once its cliques
-have absorbed |C| - room vertices beyond their first (it fits), or once room
-cliques are open with vertices still unabsorbed (it does not); then it
-fills in the child's table. A child whose cover fits is not opened: x's
+it holds at most one vertex of each clique of the conflict graph, and at
+most two of each forbidden triple; so |S| plus the cost of any partition
+of C into such parts, one per clique and two per triple, bounds |T|. With
+cliques alone this is the colouring bound of maximum-clique search (Tomita
+& Seki, DMTCS 2003) on the conflict graph's complement. The triples see
+what pair conflicts cannot: on a P4 copy of a corona with none of its
+vertices chosen no two candidates conflict, yet its triples let a set hold
+only 3 of its 4. The cover is greedy: each clique starts at the highest
+vertex y left and absorbs, highest first, the vertices left that conflict
+with every vertex taken so far. When y conflicts with no vertex left, its
+clique would be a singleton; then, while two units of room are left, the
+cover scans y's neighbours z left, highest first, for a third vertex w left
+in mask(y, z), and makes the first such {y, z, w} a part. Only neighbours
+are scanned: every induced P3 through y holds a neighbour of y, so for ρ no
+triple is missed, while a collinear triple with no neighbour of y is, which
+only weakens the bound (scanning all of C costs more than it saves: inside
+a partial star of K(n,3) every scan fails after |C| steps). The cover is
+built for each child, with room the number of vertices the child may add
+before it only ties the incumbent, and it stops as soon as the answer is
+known: once its parts hold |C| - room vertices beyond their cost (it
+fits), or once room is spent with vertices still left (it does not); then
+it fills in the child's table. A child whose cover fits is not opened: x's
 branch ends as if no candidate had survived, at the one site where a branch
 whose frame ran out ends, and no set in it beats the incumbent.
 
 A child whose cover does not fit opens with its tops O: the first, and so
-highest, vertex of each of its room cliques, plus every vertex left over as
-a clique of its own. A clique meets the tail {y in C : y >= x} exactly when
-its top is at least x, and a frame branches on its lowest candidate x
-first, so |S| + min(|C|, tops at or above x) bounds every set its remaining
+highest, vertex of each of its cliques, the two highest of each of its
+triples, plus every vertex left over as a clique of its own. A clique meets
+the tail {y in C : y >= x} exactly when its top is at least x, and a triple
+has min(2, its members >= x) tops at or above x, and a set inside the tail
+holds no more of it than that. A frame branches on its lowest candidate x first,
+so |S| + min(|C|, tops at or above x) bounds every set its remaining
 branches reach (MCQ's colour-order bound, from the one cover per child); a
 frame ends once that bound does not beat the incumbent. The root's O is
 every vertex. Branching follows descending degree (ties by id) and the
@@ -411,16 +424,25 @@ def _orbit(C: int, x: int, cells: list[int], M: list[int]) -> int:
     return C
 
 
-def _cover(C: int, P: list[int], bx: list[int], room: int, Q: list[int]) -> int:
-    """Greedy clique cover of C's conflict graph, y and z conflicting when
-    z is in P[y] | bx[y] (see the module docstring), built from the highest
-    vertex down.
+def _cover(
+    C: int, P: list[int], bx: list[int], room: int, Q: list[int], blocked: list[list[int]], bits: list[int]
+) -> int:
+    """Greedy cover of C by cliques of its conflict graph, y and z
+    conflicting when z is in P[y] | bx[y] (see the module docstring), and
+    by forbidden triples, built from the highest vertex down. A clique costs
+    one unit of room and a triple two.
 
-    Returns 0 when the cover fits in room cliques. Otherwise it returns the
-    tops O: the highest member of each of the room cliques built, plus every
-    vertex left over, each a clique of its own; then Q[y] = P[y] | bx[y] for
-    every y in C, the whole child table. spare counts the vertices the
-    cliques must still absorb beyond their first for the cover to fit.
+    A clique whose top y conflicts with no vertex left would be a singleton;
+    while two units of room are left, y's neighbours z left in C are scanned
+    instead, highest first, for a w left in blocked[y][z], and the first
+    such {y, z, w} becomes a part.
+
+    Returns 0 when the cover fits in room. Otherwise it returns the tops O:
+    the highest member of each clique built, the two highest of each
+    triple, plus every vertex left over, each a clique of its own; then
+    Q[y] = P[y] | bx[y] for every y in C, the whole child table. spare
+    counts the vertices the parts must still hold beyond their cost for the
+    cover to fit.
     """
     spare = C.bit_count() - room
     if spare <= 0:
@@ -434,6 +456,25 @@ def _cover(C: int, P: list[int], bx: list[int], room: int, Q: list[int]) -> int:
         O |= top
         Q[y] = q = P[y] | bx[y]
         K = C & q
+        if not K and room:
+            row = blocked[y]
+            N = C & bits[y]
+            while N:
+                z = N.bit_length() - 1
+                W = row[z] & C
+                if W:
+                    spare -= 1
+                    if not spare:
+                        return 0
+                    room -= 1
+                    w = W.bit_length() - 1
+                    C ^= 1 << z | 1 << w
+                    O |= 1 << max(z, w)
+                    Q[z] = P[z] | bx[z]
+                    Q[w] = P[w] | bx[w]
+                    break
+                N ^= 1 << z
+            continue
         while K:
             spare -= 1
             if not spare:
@@ -500,7 +541,7 @@ def _run_gp(
                 best = chosen.copy()
             newC = C & ~P[x]
             Q = P.copy()
-            tops = _cover(newC, P, blocked[x], best_size - len(chosen), Q)
+            tops = _cover(newC, P, blocked[x], best_size - len(chosen), Q, blocked, bits)
             if tops:
                 # some set below chosen may beat the incumbent: open the child
                 frames.append([newC, Q, A and _refine(A, xs[x], ground), tops])

@@ -100,13 +100,14 @@ def gp_enum_slow(n, edges):
     return 0, ()
 
 
-def largest_extension(d, s, c):
-    """Largest general position T with s <= T <= s + c, by a top-down scan
-    of the subsets of c (|c| <= ~12); None when s itself is not in general
-    position."""
+def largest_extension(ok, s, c):
+    """Largest T with ok(T) and s <= T <= s + c, by a top-down scan of the
+    subsets of c (|c| <= ~12); None when s itself fails ok. ok is
+    ``lambda t: is_gp(d, t)`` for gp and ``lambda t: is_cluster(a, t)``
+    for rho."""
     for r in range(len(c), -1, -1):
         for combo in itertools.combinations(c, r):
-            if is_gp(d, tuple(s) + combo):
+            if ok(tuple(s) + combo):
                 return tuple(s) + combo
     return None
 
@@ -136,19 +137,19 @@ def alpha_enum(n, edges):
     return 0
 
 
-def rho_enum(n, edges):
-    """Max vertices inducing a disjoint union of cliques.
+def is_cluster(a, subset):
+    """True when subset induces a disjoint union of cliques in the graph of
+    adjacency matrix a: no three of its vertices span exactly two edges
+    (an induced P_3)."""
+    return all(a[x][y] + a[x][z] + a[y][z] != 2 for x, y, z in itertools.combinations(subset, 3))
 
-    A graph is a disjoint union of cliques iff it has no induced P_3,
-    i.e. no three vertices spanning exactly two edges.
-    """
+
+def rho_enum(n, edges):
+    """Max vertices inducing a disjoint union of cliques."""
     a = _adj_matrix(n, edges)
     for r in range(n, 0, -1):
         for combo in itertools.combinations(range(n), r):
-            if all(
-                a[x][y] + a[x][z] + a[y][z] != 2
-                for x, y, z in itertools.combinations(combo, 3)
-            ):
+            if is_cluster(a, combo):
                 return r
     return 0
 

@@ -57,7 +57,9 @@ RHO_ILP_GRAPHS = corpus.symmetric_named() + [
     ("K(8,3)", kneser(8, 3)),
     ("L(K8)", line_graph(complete(8))),
     ("K6xK6", corpus.hamming(6, 6)),
-    ("corona(C10,P4)", corona(cycle(10), path(4))),  # no action, ~16 s
+    ("corona(C10,P4)", corona(cycle(10), path(4))),  # no action
+    ("P40", path(40)),  # 27
+    ("C7xC7", cartesian_product(cycle(7), cycle(7))),  # 24
 ]
 
 
@@ -71,6 +73,20 @@ def test_ilp_oracle_equals_rho(name, g):
     res = rho(g)
     assert (res.value, res.status) == (value, EXACT)
     assert is_cluster_set(g, res.witness)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 40])
+def test_rho_of_paths_closed_form(n):
+    # rho(P_n) = n - floor(n/3): a cluster set of a path misses a vertex of
+    # every three consecutive ones, and dropping every third vertex leaves
+    # one. Enumeration checks the form up to n = 12; the search's cover
+    # packs the path's forbidden triples, without which P40 takes 1.6 M nodes
+    want = n - n // 3
+    if n <= 12:
+        assert oracles.rho_enum(n, list(path(n).edges())) == want
+    res = rho(path(n))
+    assert (res.value, res.status) == (want, EXACT)
+    assert is_cluster_set(path(n), res.witness)
 
 
 def test_frozen_small_values():
@@ -192,7 +208,7 @@ def test_determinism():
 @pytest.mark.parametrize(
     "fn,g,value,nodes",
     [
-        (rho, kneser(7, 3), 20, 207),  # 219 before the frames' tail bound
+        (rho, kneser(7, 3), 20, 134),  # 207 before the cover's triple parts; 219 before the frames' tail bound
         (rho, kneser(10, 2), 9, 18),
         (rho, line_graph(complete(8)), 7, 17),  # 19 before the frames' tail bound
         (alpha, kneser(8, 3), 21, 63),

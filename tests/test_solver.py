@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from math import comb
 
@@ -111,14 +112,15 @@ def test_empty_graph():
 @pytest.mark.parametrize(
     "g,value,nodes",
     [
-        pytest.param(corpus.action_free(kneser(7, 3)), 15, 403, id="K(7,3)-action-free"),  # 838; 6,569
-        pytest.param(cartesian_product(cycle(6), cycle(6)), 6, 368, id="C6xC6"),  # 799; 8,850
+        pytest.param(corpus.action_free(kneser(7, 3)), 15, 307, id="K(7,3)-action-free"),  # 403; 838; 6,569
+        pytest.param(cartesian_product(cycle(6), cycle(6)), 6, 368, id="C6xC6"),  # 368; 799; 8,850
+        pytest.param(corona(cycle(10), path(4)), 30, 5219, id="corona(C10,P4)"),  # 51,677
     ],
 )
 def test_node_counts_pinned(g, value, nodes):
     # any change to the search tree (order, bound, masks) moves these counts;
-    # the comments give them before the frames' tail bound, then with
-    # |chosen| + |candidates| as the only bound
+    # the comments give them before the cover's triple parts, before the
+    # frames' tail bound, then with |chosen| + |candidates| as the only bound
     res = gp_exact(g)
     assert (res.value, res.status, res.nodes_explored) == (value, EXACT, nodes)
 
@@ -126,16 +128,16 @@ def test_node_counts_pinned(g, value, nodes):
 @pytest.mark.parametrize(
     "g,value,nodes",
     [
-        pytest.param(kneser(8, 3), 21, 906, id="K(8,3)"),  # 1,272; 47,963; 1,419,313
-        pytest.param(line_graph(complete(12)), 12, 104, id="L(K12)"),  # 114; 1,529,860; 13,919,095
-        pytest.param(cartesian_product(complete(7), complete(7)), 12, 192, id="K7xK7"),  # 192; 375,607; 3,982,281
+        pytest.param(kneser(8, 3), 21, 314, id="K(8,3)"),  # 906; 1,272; 47,963; 1,419,313
+        pytest.param(line_graph(complete(12)), 12, 103, id="L(K12)"),  # 104; 114; 1,529,860; 13,919,095
+        pytest.param(cartesian_product(complete(7), complete(7)), 12, 160, id="K7xK7"),  # 192; 192; 375,607; 3,982,281
     ],
 )
 def test_pruned_node_counts_pinned(g, value, nodes):
     # the orbit pruning's tree: any change to the cells or the orbits moves
-    # these; the comments give them before the frames' tail bound: with the
-    # action, without it, and without it with |chosen| + |candidates| as the
-    # only bound
+    # these; the comments give them before the cover's triple parts, then
+    # before the frames' tail bound: with the action, without it, and
+    # without it with |chosen| + |candidates| as the only bound
     res = gp_exact(g)
     assert (res.value, res.status, res.nodes_explored) == (value, EXACT, nodes)
 
@@ -262,40 +264,35 @@ def test_p3_masks_match_definition(g):
         assert blocked[a][b] == want, (a, b)
 
 
-@settings(max_examples=150, deadline=None)
-@given(graphs(max_n=10), st.randoms(use_true_random=False))
-def test_clique_cover_bounds_every_extension(g, rnd):
-    # for general position sets S and the vertices C that each keep it in
-    # general position, the cover never fits in less room than the largest
-    # general position T with S <= T <= S + C needs beyond S; and when it
-    # does not fit, its tops at or above each x in C are at least as many as
-    # the largest such T needs inside the y >= x of C, the tail bound of the
-    # child's frame. The table is built as the search keeps it, with S's last
-    # vertex x split off; T comes from enumeration over Floyd-Warshall
-    # distances. Internal vertex i is order[i].
+def _check_cover(g, rnd, masks, ok):
+    # for sets S with no forbidden triple (ok) and the vertices C that each
+    # keep S so, the cover never fits in less room than the largest T with
+    # ok(T) and S <= T <= S + C needs beyond S; and when it does not fit,
+    # its tops at or above each x in C are at least as many as the largest
+    # such T needs inside the y >= x of C, the tail bound of the child's
+    # frame. The table is built as the search keeps it, with S's last vertex
+    # x split off; T comes from enumeration. Internal vertex i is order[i].
     n = g.n
     bits, order = _degree_order(g)
-    blocked = _conflict_masks(bits, SearchClock())
-    d = oracles.dist_matrix(n, list(g.edges()))
-    d = [[d[order[i]][order[j]] for j in range(n)] for i in range(n)]
+    blocked = masks(bits, SearchClock())
     for _ in range(4):
         S = []
         for v in rnd.sample(range(n), rnd.randint(0, n)):
-            if oracles.is_gp(d, S + [v]):
+            if ok(S + [v]):
                 S.append(v)
-        C = [v for v in range(n) if v not in S and oracles.is_gp(d, S + [v])]
-        need = len(oracles.largest_extension(d, S, C)) - len(S)
+        C = [v for v in range(n) if v not in S and ok(S + [v])]
+        need = len(oracles.largest_extension(ok, S, C)) - len(S)
         P, bx = [0] * n, [0] * n
         if S:
             *rest, x = S
             bx = blocked[x]
             for s in rest:
                 P = [p | b for p, b in zip(P, blocked[s])]
-        tail_need = {x: len(oracles.largest_extension(d, S, [y for y in C if y >= x])) - len(S) for x in C}
+        tail_need = {x: len(oracles.largest_extension(ok, S, [y for y in C if y >= x])) - len(S) for x in C}
         mask = sum(1 << v for v in C)
         for room in range(len(C) + 1):
             Q = [None] * n
-            tops = _cover(mask, P, bx, room, Q)
+            tops = _cover(mask, P, bx, room, Q, blocked, bits)
             if room == len(C):
                 assert tops == 0, S
             if not tops:
@@ -304,6 +301,28 @@ def test_clique_cover_bounds_every_extension(g, rnd):
             # the child opens with its whole table and the tops of its cover
             assert all(Q[y] == P[y] | bx[y] for y in C), (S, room)
             assert all((tops >> x).bit_count() >= tail_need[x] for x in C), (S, room)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=10), st.randoms(use_true_random=False))
+@example(path(9), random.Random(0))
+def test_clique_cover_bounds_every_extension(g, rnd):
+    # gp's cover, against general position sets over Floyd-Warshall distances
+    _, order = _degree_order(g)
+    d = oracles.dist_matrix(g.n, list(g.edges()))
+    d = [[d[i][j] for j in order] for i in order]
+    _check_cover(g, rnd, _conflict_masks, lambda t: oracles.is_gp(d, t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=10), st.randoms(use_true_random=False))
+@example(path(9), random.Random(0))
+def test_cover_bounds_every_cluster_extension(g, rnd):
+    # rho's cover, on the induced-P3 masks, against cluster sets
+    _, order = _degree_order(g)
+    edges = {frozenset(e) for e in g.edges()}
+    a = [[frozenset((i, j)) in edges for j in order] for i in order]
+    _check_cover(g, rnd, _p3_masks, lambda t: oracles.is_cluster(a, t))
 
 
 # --- budgets ------------------------------------------------------------------
