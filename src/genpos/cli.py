@@ -35,7 +35,7 @@ from .formulas import (
     kneser_condition,
 )
 from .graph import distances, is_connected
-from .harness import build_graph_spec, default_grid, emit_table, prediction_json, run_verify, theorem_ids
+from .harness import MISMATCH, TIMEOUT, build_graph_spec, default_grid, emit_table, prediction_json, run_verify, theorem_ids
 from .io import dumps_json, encode_graph6, parse_json, read_graph, write_graph
 from .invariants import alpha, eta, omega, rho
 from .solver import CliquePartition, characterization_check, gp_exact, is_general_position
@@ -240,9 +240,9 @@ def verify(run_all, theorem_id, quick, strict, grid_json, fmt, budget_nodes, bud
         for tid in ids:
             reports.extend(run_verify(tid, default_grid(tid, stretch=not quick) if grid is None else grid, budget))
         click.echo(emit_table(reports, fmt), nl=False)
-    if any(r.verdict == "mismatch" for r in reports):
+    if any(r.verdict == MISMATCH for r in reports):
         sys.exit(1)
-    if any(r.verdict == "timeout" for r in reports):
+    if any(r.verdict == TIMEOUT for r in reports):
         sys.exit(1 if strict else 3)
 
 

@@ -102,7 +102,7 @@ def kneser(n: int, k: int) -> Graph:
     if k < 1 or n < k:
         raise InputError(f"kneser(n, k) needs n >= k >= 1, got n={n}, k={k}")
     # C(n, k) >= 2^min(k, n - k), so this refuses without comb, whose time grows with k
-    if min(k, n - k) >= (log2_max := MAX_N.bit_length() - 1):
+    if min(k, n - k) >= (log2_max := (MAX_N - 1).bit_length()):
         raise InputError(f"kneser(n, k) has at least 2^{log2_max} vertices when min(k, n - k) >= {log2_max}")
     _check_count(comb(n, k))  # before the subsets and their points are listed
     verts = ksubsets(n, k)

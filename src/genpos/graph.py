@@ -26,7 +26,9 @@ INFINITY = math.inf
 VertexSet = tuple[int, ...]
 
 
-MAX_N = 1 << 18  # the order limit: every graph that builds fits graph6's 18-bit order field
+# the order limit: graph6 writes orders from 258,048 up in its 8-byte '~~'
+# form, so every graph that builds has a 1-byte or a '~' plus 3-byte header
+MAX_N = 258048
 
 
 def _is_index(x, bound: float = INFINITY) -> bool:
@@ -230,13 +232,7 @@ def distances(g: Graph) -> tuple[tuple[float, ...], ...]:
 
 def diameter(g: Graph) -> float:
     """Max pairwise distance; INFINITY when g is disconnected; 0 when n <= 1."""
-    worst: float = 0
-    for row in distances(g):
-        m = max(row)
-        if m == INFINITY:
-            return INFINITY
-        worst = max(worst, m)
-    return worst
+    return max((max(row) for row in distances(g)), default=0)
 
 
 def complement(g: Graph) -> Graph:

@@ -220,14 +220,11 @@ def _verdict(pred: Prediction, computed: GpResult | None, unfinished_inputs: boo
     return MISMATCH if computed.status == EXACT else TIMEOUT
 
 
-def run_verify(
-    theorem_id: str, param_grid: list[dict] | None = None, budget: Budget | None = None
-) -> list[TheoremReport]:
-    """Sweep one theorem over a grid; reports come back in grid order."""
+def run_verify(theorem_id: str, param_grid: list[dict], budget: Budget | None = None) -> list[TheoremReport]:
+    """Sweep one theorem over ``param_grid`` (:func:`default_grid` gives the
+    manifest's); reports come back in grid order."""
     if theorem_id not in _REGISTRY:
         raise InputError(f"unknown theorem id {theorem_id!r}; known: {theorem_ids()}")
-    if param_grid is None:
-        param_grid = default_grid(theorem_id)
     if not isinstance(param_grid, list) or not all(isinstance(p, dict) for p in param_grid):
         raise InputError(f"param grid must be a list of parameter objects, got {param_grid!r}")
     runner = _REGISTRY[theorem_id]

@@ -6,8 +6,10 @@ Two formats:
   graphs. The upper triangle of the adjacency matrix is serialized in
   column-major order (pairs (0,1),(0,2),(1,2),(0,3),...), packed into 6-bit
   chunks, each stored as one printable byte with offset 63. Orders up to 62
-  use the single header byte 63+n; larger orders use '~' followed by three
-  6-bit bytes. Labels cannot be represented.
+  use the single header byte 63+n; orders up to 258,047 use '~' followed by
+  three 6-bit bytes. The standard's 8-byte '~~' form for larger orders is
+  past :data:`~genpos.graph.MAX_N`, so it is refused. Labels cannot be
+  represented.
 
 * sidecar JSON: ``{"n": ..., "edges": [[u, v], ...], "labels": [...]}``,
   lossless including labels. The reader checks only this shape and leaves
@@ -25,7 +27,7 @@ import os
 from typing import Any
 
 from .errors import InputError, ParseError, digit_limit
-from .graph import Graph
+from .graph import MAX_N, Graph
 
 _GRAPH6_HEADER = ">>graph6<<"
 
@@ -36,11 +38,15 @@ def _pack(bits: str) -> str:
     return "".join(chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6))
 
 
+def _order_header(n: int) -> str:
+    # n < graph.MAX_N, so it takes the 1-byte or the '~' plus 3-byte form
+    return chr(63 + n) if n <= 62 else "~" + _pack(f"{n:018b}")
+
+
 def encode_graph6(g: Graph) -> str:
     """Encode ``g`` as a graph6 string (no optional format header)."""
-    n = g.n  # below graph.MAX_N, so it fits the 18-bit order field
-    header = chr(63 + n) if n <= 62 else "~" + _pack(f"{n:018b}")
-    return header + _pack("".join("01"[u in g.adj[v]] for v in range(1, n) for u in range(v)))
+    n = g.n
+    return _order_header(n) + _pack("".join("01"[u in g.adj[v]] for v in range(1, n) for u in range(v)))
 
 
 def decode_graph6(data: str | bytes) -> Graph:
@@ -71,7 +77,9 @@ def decode_graph6(data: str | bytes) -> Graph:
 
     pos = base + 1
     n = byte_at(base)
-    if n == 63:  # '~' escape: 18-bit order
+    if n == 63:  # '~': the order is in the next three bytes, or in six after '~~'
+        if byte_at(pos) == 63:  # '~~' opens the 8-byte form, whose orders are all >= MAX_N
+            raise ParseError(f"graph6 '~~' header: an order of at least {MAX_N} is past the limit", pos)
         n = int(bits_at(pos, 3), 2)
         pos += 3
 
@@ -89,30 +97,11 @@ def decode_graph6(data: str | bytes) -> Graph:
     return Graph.from_edges(n, (p for p, b in zip(pairs, bits) if b == "1"))
 
 
-def graph_to_json_dict(g: Graph) -> dict[str, Any]:
+def dumps_json(g: Graph) -> str:
     d: dict[str, Any] = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
     if g.labels is not None:
         d["labels"] = list(g.labels)
-    return d
-
-
-def graph_from_json_dict(d: Any) -> Graph:
-    """Check the JSON shape only; :class:`Graph` checks the values."""
-    if not isinstance(d, dict):
-        raise InputError("graph JSON must be an object")
-    if "n" not in d:
-        raise InputError('graph JSON needs an "n"')
-    edges = d.get("edges", [])
-    if not isinstance(edges, list) or not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges):
-        raise InputError('"edges" must be a list of [u, v] pairs')
-    labels = d.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise InputError('"labels" must be a list')
-    return Graph.from_edges(d["n"], edges, labels)
-
-
-def dumps_json(g: Graph) -> str:
-    return json.dumps(graph_to_json_dict(g), separators=(",", ":"))
+    return json.dumps(d, separators=(",", ":"))
 
 
 def parse_json(text: str) -> Any:
@@ -130,7 +119,19 @@ def parse_json(text: str) -> Any:
 
 
 def loads_json(text: str) -> Graph:
-    return graph_from_json_dict(parse_json(text))
+    """Check the JSON shape only; :class:`Graph` checks the values."""
+    d = parse_json(text)
+    if not isinstance(d, dict):
+        raise InputError("graph JSON must be an object")
+    if "n" not in d:
+        raise InputError('graph JSON needs an "n"')
+    edges = d.get("edges", [])
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise InputError('"edges" must be a list of [u, v] pairs')
+    labels = d.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise InputError('"labels" must be a list')
+    return Graph.from_edges(d["n"], edges, labels)
 
 
 def _infer_format(path: str, data: bytes | None = None) -> str:

@@ -417,8 +417,7 @@ def _orbit(C: int, x: int, cells: list[int], M: list[int]) -> int:
                         break
                 if carry:
                     slices.append(carry)
-            if k >> len(slices):
-                return 0
+            # vertex x is among those counted, so k < 2 ** len(slices)
             for j, sl in enumerate(slices):
                 C &= sl if k >> j & 1 else ~sl
     return C

@@ -350,7 +350,8 @@ def test_predict_record_pinned(runner, argv, record):
     assert res.output == record + "\n"
 
 
-@pytest.mark.parametrize("n, ids", [(724, 723), (725, None)])
+# C(718, 2) = 257,403 < MAX_N = 258,048 <= C(719, 2) (was 724 and 725, around 2^18)
+@pytest.mark.parametrize("n, ids", [(718, 717), (719, None)])
 def test_predict_star_witness_boundary(runner, n, ids):
     res = runner.invoke(main, ["predict", "kneser2", str(n)])
     rec = json.loads(res.output)
@@ -374,10 +375,11 @@ def test_predict_huge_kneser_gives_the_value_without_a_witness(argv):
 
 @pytest.mark.parametrize(
     "argv, ids",
-    [("line-complete 724", 723), ("line-complete 725", None), ("hamming 511 512", 1021), ("hamming 512 512", None)],
+    [("line-complete 718", 717), ("line-complete 719", None), ("hamming 507 508", 1013), ("hamming 508 508", None)],
 )
 def test_predict_witness_cap_boundary(runner, argv, ids):
-    # C(724, 2) = 261,726 and 511 * 512 = 261,632 are below 2^18; C(725, 2) and 512 * 512 are not
+    # C(718, 2) = 257,403 and 507 * 508 = 257,556 are below MAX_N = 258,048; C(719, 2) = 258,121
+    # and 508 * 508 = 258,064 are not (was 724/725 and 511 512/512 512, around 2^18)
     res = runner.invoke(main, ["predict", *argv.split()])
     rec = json.loads(res.output)
     assert res.exit_code == 0 and rec["applicable"] is True

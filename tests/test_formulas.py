@@ -51,9 +51,10 @@ def test_prediction_interval_property():
 def test_kneser_star_witness_ids():
     assert kneser_star_witness(5, 2) == (0, 1, 2, 3)
     assert len(kneser_star_witness(9, 3)) == comb(8, 2)
-    # none once K(n, k) outgrows graph6: C(724, 2) = 261,726 < 2^18 <= C(725, 2)
-    assert len(kneser_star_witness(724, 2)) == 723
-    assert kneser_star_witness(725, 2) is None
+    # none once K(n, k) passes the order limit: C(718, 2) = 257,403 < 258,048 <= C(719, 2)
+    # (was 724 and 725, around 2^18)
+    assert len(kneser_star_witness(718, 2)) == 717
+    assert kneser_star_witness(719, 2) is None
     big = gp_kneser3(10**19)
     assert (big.value, big.witness) == (comb(10**19 - 1, 2), None)
     # the k-subsets that contain 1 are the first C(n-1, k-1) in lex order

@@ -56,6 +56,8 @@ def test_from_edges_rejects_bad_edges():
         Graph.from_edges(2, [(0, "a")])
     with pytest.raises(InputError):
         Graph(2, (frozenset({"a"}), frozenset()))
+    with pytest.raises(InputError, match="adjacency has 1 rows for n=2"):
+        Graph(2, (frozenset(),))
     # each of these built, and then could not be written and read back or searched
     with pytest.raises(InputError):
         Graph.from_edges(2, [(True, 0)])
@@ -70,10 +72,11 @@ def test_from_edges_rejects_bad_edges():
 
 
 def test_order_limit():
-    # every graph that builds fits graph6's 18-bit order field; from_edges
-    # checks the count before it allocates a set per vertex
-    with pytest.raises(InputError, match=r"\[0, 262144\)"):
-        Graph.from_edges(1 << 18, [])
+    # every graph that builds has a 1-byte or a '~' plus 3-byte graph6
+    # header; from_edges checks the count before it allocates a set per vertex
+    # (was [0, 262144) for 1 << 18, which admitted orders needing '~~')
+    with pytest.raises(InputError, match=r"\[0, 258048\)"):
+        Graph.from_edges(258048, [])
     # a count too long for Python to print still gets a printable error
     with pytest.raises(InputError, match="got one of more than"):
         Graph.from_edges(10**5000, [])

@@ -19,7 +19,8 @@ from genpos import (
     read_graph,
     write_graph,
 )
-from genpos.io import dumps_json, graph_from_json_dict, graph_to_json_dict, loads_json
+from genpos.graph import MAX_N
+from genpos.io import _order_header, dumps_json, loads_json
 
 from strategies import graphs
 
@@ -87,6 +88,14 @@ def test_graph6_matches_networkx():
         assert ours == theirs
         ret = nx.from_graph6_bytes(ours.encode())
         assert sorted(ret.edges()) == g.edges()
+    # the order header at each edge of its forms, up to the limit, with no large graph
+    for n in (0, 62, 63, 4095, 4096, MAX_N - 1):
+        assert _order_header(n) == "".join(chr(63 + b) for b in nx.readwrite.graph6.n_to_data(n))
+    # the standard's 8-byte form starts at MAX_N, past the limit
+    assert "".join(chr(63 + b) for b in nx.readwrite.graph6.n_to_data(MAX_N)) == "~~???~??"
+    with pytest.raises(ParseError) as e:
+        decode_graph6("~~???~??")
+    assert e.value.offset == 1
 
 
 def test_parse_error_offsets():
@@ -102,6 +111,9 @@ def test_parse_error_offsets():
     with pytest.raises(ParseError) as e:
         decode_graph6("")
     assert e.value.offset == 0
+    with pytest.raises(ParseError, match="truncated") as e:
+        decode_graph6("~?")  # the '~' header needs three order bytes
+    assert e.value.offset == 2
 
 
 def test_nonzero_padding_rejected():
@@ -114,26 +126,26 @@ def test_nonzero_padding_rejected():
 
 def test_json_round_trip_with_labels():
     g = kneser(4, 2)
-    d = graph_to_json_dict(g)
+    d = json.loads(dumps_json(g))
     assert d["n"] == 6
     assert d["labels"][0] == "{1,2}"
-    back = graph_from_json_dict(json.loads(json.dumps(d)))
+    back = loads_json(json.dumps(d))
     assert back.adj == g.adj and back.labels == g.labels
 
 
 def test_json_validation():
     with pytest.raises(InputError):
-        graph_from_json_dict([1, 2])
+        loads_json("[1, 2]")
     with pytest.raises(InputError):
-        graph_from_json_dict({"edges": []})
+        loads_json('{"edges": []}')
     with pytest.raises(InputError):
-        graph_from_json_dict({"n": True})
+        loads_json('{"n": true}')
     with pytest.raises(InputError):
-        graph_from_json_dict({"n": 3, "edges": [[0, 1, 2]]})
+        loads_json('{"n": 3, "edges": [[0, 1, 2]]}')
     with pytest.raises(InputError):
-        graph_from_json_dict({"n": 3, "edges": [[0, True]]})
+        loads_json('{"n": 3, "edges": [[0, true]]}')
     with pytest.raises(InputError):
-        graph_from_json_dict({"n": 2, "edges": [], "labels": "ab"})
+        loads_json('{"n": 2, "edges": [], "labels": "ab"}')
 
 
 # ints, bools, floats, strings and None: everything a JSON value or a careless
