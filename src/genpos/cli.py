@@ -34,11 +34,10 @@ from .formulas import (
     hamming_lower,
     kneser_condition,
 )
-from .graph import distances, is_connected
+from .graph import CliquePartition, characterization_check, distances, is_connected, is_general_position
 from .harness import MISMATCH, TIMEOUT, build_graph_spec, default_grid, emit_table, prediction_json, run_verify, theorem_ids
 from .io import dumps_json, encode_graph6, parse_json, read_graph, write_graph
-from .invariants import alpha, eta, omega, rho
-from .solver import CliquePartition, characterization_check, gp_exact, is_general_position
+from .solver import alpha, eta, gp_exact, omega, rho
 
 
 def _budget(nodes: int | None, ms: float) -> Budget:
@@ -148,7 +147,9 @@ def _echo_prediction(theorem: str, params: dict, predict: Callable[[], Predictio
 @click.option("--n-h", type=int, default=None, help="Order of H.")
 def predict_cartesian_lower(gp_g, gp_h, n_g, n_h):
     """gp(G□H) >= gp(G) + gp(H) - 2."""
-    _echo_prediction("thm3.1", {"gp_g": gp_g, "gp_h": gp_h}, lambda: gp_cartesian_lower(gp_g, gp_h, n_g, n_h))
+    params = {"gp_g": gp_g, "gp_h": gp_h, "n_g": n_g, "n_h": n_h}
+    params = {k: v for k, v in params.items() if v is not None}  # the options given
+    _echo_prediction("thm3.1", params, lambda: gp_cartesian_lower(gp_g, gp_h, n_g, n_h))
 
 
 @predict.command("hamming")

@@ -190,7 +190,7 @@ def gp_join(omega_g: int, omega_h: int, rho_g: int, rho_h: int) -> Prediction:
     """gp(G + H) = max{ω(G)+ω(H), ρ(G), ρ(H)}.
 
     The paper states this with η as well; η = ρ here (a single clique counts
-    as a complete multipartite complement, see :mod:`genpos.invariants`), so
+    as a complete multipartite complement, see :mod:`genpos.solver`), so
     the η form is the same number. Two complete factors need no special case:
     ω(G)+ω(H) = n(G)+n(H) already bounds ρ.
     """

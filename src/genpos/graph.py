@@ -9,6 +9,18 @@ graphs are first class: unreachable pairs carry the sentinel
 (``finite + INFINITY == INFINITY``) and which never compares equal to a
 finite distance. The sentinel is deliberately not a large integer, so a
 sum of distances can never silently overflow into a plausible value.
+
+A set S is in general position when no member lies on a geodesic between
+two others; a triple touching INFINITY never violates, as no geodesic joins
+its ends (the finiteness guards of :func:`is_general_position` are
+load-bearing, since ``INFINITY == x + INFINITY``). :func:`is_general_position`
+tests that definition on the rows of :func:`distances`, and
+:func:`characterization_check` the structural characterization on the same
+rows: the components of G[S] are cliques whose vertex sets form a
+distance-constant, in-transitive partition; it returns that partition or the
+first condition that fails. :func:`is_cluster_set` checks a ρ witness, G[S]
+a disjoint union of cliques. This module imports nothing from
+:mod:`genpos.solver`, so no check shares code with the searches it checks.
 """
 
 from __future__ import annotations
@@ -16,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InputError, digit_limit
@@ -279,3 +292,89 @@ def connected_components(g: Graph) -> list[VertexSet]:
 
 def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) <= 1
+
+
+@dataclass(frozen=True, slots=True)
+class CliquePartition:
+    """Components of G[S] (each a clique) plus between-part distances.
+
+    ``part_distances[i][j]`` is the common distance between parts i and j
+    (well-defined by distance-constancy); the diagonal is 0 by convention.
+    """
+
+    parts: tuple[VertexSet, ...]
+    part_distances: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class Violation:
+    """First failed condition of the structural characterization."""
+
+    condition: str  # "clique" | "distance-constant" | "in-transitive"
+    vertices: VertexSet
+    detail: str
+
+
+def is_general_position(d, s) -> bool:
+    """Definition-based test on the distance rows ``d``: no member between two others."""
+    sv = vertex_set(s, len(d))
+    for u, w, v in combinations(sv, 3):
+        duw, dwv, duv = d[u][w], d[w][v], d[u][v]
+        if duw == INFINITY or dwv == INFINITY or duv == INFINITY:
+            continue
+        if duv == duw + dwv or duw == duv + dwv or dwv == duw + duv:
+            return False
+    return True
+
+
+def characterization_check(g: Graph, d, s) -> CliquePartition | Violation:
+    """Structural test for connected g: clique components, distance-constant
+    and in-transitive between parts. Returns the :class:`CliquePartition`
+    when s passes, else the first :class:`Violation` found (components are
+    scanned in order of minimum member), reading g's distance rows ``d``."""
+    if not is_connected(g):
+        raise InputError("characterization_check needs a connected graph")
+    sv = vertex_set(s, g.n)
+    parts = [tuple(sv[i] for i in comp) for comp in connected_components(induced_subgraph(g, sv))]
+
+    def fail(condition: str, verts, detail: str) -> Violation:
+        return Violation(condition, vertex_set(verts, g.n), detail)
+
+    for part in parts:
+        for u, v in combinations(part, 2):
+            if not g.has_edge(u, v):
+                return fail(
+                    "clique", part, f"component {part} is not complete: {u} and {v} are non-adjacent"
+                )
+
+    k = len(parts)
+    dist = [[0] * k for _ in range(k)]
+    for i, j in combinations(range(k), 2):
+        d0 = d[parts[i][0]][parts[j][0]]
+        for u in parts[i]:
+            for v in parts[j]:
+                if d[u][v] != d0:
+                    return fail(
+                        "distance-constant",
+                        {parts[i][0], parts[j][0], u, v},
+                        f"parts {parts[i]} and {parts[j]}: d({u},{v})={d[u][v]} != d({parts[i][0]},{parts[j][0]})={d0}",
+                    )
+        dist[i][j] = dist[j][i] = d0
+
+    for a, b, c in combinations(range(k), 3):
+        for x, m, y in ((a, b, c), (b, a, c), (a, c, b)):
+            if dist[x][y] == dist[x][m] + dist[m][y]:
+                return fail(
+                    "in-transitive",
+                    {parts[x][0], parts[m][0], parts[y][0]},
+                    f"part {parts[m]} lies between parts {parts[x]} and {parts[y]}: "
+                    f"{dist[x][y]} = {dist[x][m]} + {dist[m][y]}",
+                )
+
+    return CliquePartition(tuple(parts), tuple(tuple(row) for row in dist))
+
+
+def is_cluster_set(g: Graph, members) -> bool:
+    """True iff g[members] is a disjoint union of cliques (P_3-free)."""
+    h = induced_subgraph(g, members)
+    return all(len(h.adj[v]) == len(comp) - 1 for comp in connected_components(h) for v in comp)

@@ -1,31 +1,31 @@
-"""General position sets: membership tests and the exact solver.
+"""The exact searches: gp, ρ (and so η), ω and α.
 
-A set S is in general position when no vertex of S lies on a geodesic
-between two other vertices of S: for pairwise distinct u, v, w in S with all
-three pairwise distances finite, d(u,v) != d(u,w) + d(w,v). Triples touching
-an infinite distance never violate — a vertex cannot sit on a geodesic that
-does not exist — and the finiteness guards are load-bearing, because IEEE
-infinity satisfies ``inf == x + inf``.
-
-Two independent membership tests are provided: the distance-arithmetic
-definition (:func:`is_general_position`) and the structural characterization
-(:func:`characterization_check`): S is general position iff the components
-of G[S] are cliques whose vertex sets form a distance-constant, in-transitive
-partition, so it returns that partition or the first condition that fails.
-Both read the plain rows of :func:`genpos.graph.distances`, a BFS
-that the search below does not share.
+General position is defined, and membership checked, in :mod:`genpos.graph`,
+which imports nothing from here: no member of S lies on a geodesic between
+two others, and a triple touching an infinite distance never violates.
 
 ``gp_exact`` is the one gp search, for graphs of every diameter. Its loop
 looks for a largest vertex set with no forbidden triple, and it sees the
 triples only through masks: for every vertex pair (a, b), the bitmask of
 the third vertices y that make {a, b, y} forbidden. ``gp_exact`` passes the
-conflict masks, where a triple is forbidden when it is collinear;
-:func:`genpos.invariants.rho` (and so η) passes the induced-P3 masks. The
-two searches share the loop and differ only in their masks. The gp masks
-use no theorem about gp, so comparing ``gp_exact`` on diameter-2 graphs with
-max{ω, η} and ρ tests the paper's gp = max{ω, η} = ρ through two mask
-builders; the loop they share is checked by the integer-program oracles of
-the test suite, which share no code with it.
+conflict masks, where a triple is forbidden when it is collinear (one member
+on a geodesic between the other two); :func:`rho` passes the induced-P3
+masks, where it is forbidden when it spans two edges. The two searches
+share the loop and differ only in their masks. The gp masks use no theorem
+about gp, so comparing ``gp_exact`` on diameter-2 graphs with ρ tests the
+paper's gp = max{ω, η} = ρ through two mask builders; the loop they share
+is checked by the integer-program oracles of the test suite, which share no
+code with it.
+
+ρ(G) is the most vertices in a union of pairwise independent cliques, and
+η(G) the largest order of an induced complete multipartite subgraph of the
+complement. Both are the largest S with G[S] a disjoint union of cliques
+(for η, complement(G)[S] is complete multipartite exactly when
+non-adjacency is transitive on S), with a single part counted as complete
+multipartite, as in the k=1 case of the product proofs; so η = ρ ≥ ω, and
+``eta`` is ``rho``, one function with method "rho". ρ inherits the loop's
+cover bound, orbit pruning (automorphisms keep induced P3s) and n × n mask
+table, so it takes O(n²) memory.
 
 The conflict masks are built from geodesic intervals, with no distance
 matrix. A bitset BFS from each source a gives L_a[k], the vertices at
@@ -99,9 +99,7 @@ holds no more of it than that. A frame branches on its lowest candidate x first,
 so |S| + min(|C|, tops at or above x) bounds every set its remaining
 branches reach (MCQ's colour-order bound, from the one cover per child); a
 frame ends once that bound does not beat the incumbent. The root's O is
-every vertex. Branching follows descending degree (ties by id) and the
-incumbent is replaced only on strict improvement, so exact results are
-deterministic.
+every vertex.
 
 Orbit pruning. A graph built by a constructor may carry a ground-set action
 (:class:`~genpos.graph.GroundAction`): each vertex is one bitmask over a
@@ -149,26 +147,24 @@ Disconnected inputs are handled by the same definition under the infinity
 semantics above — no component decomposition is attempted. This reproduces
 e.g. gp(3K_2) = 6: within a component only clique triples survive, and cross
 component triples never violate.
+
+ω runs its own loop: a Tomita-style branch and bound over vertex bitsets
+with a greedy-colouring bound, on an explicit stack too; α is ω of the
+complement. Every search branches in descending-degree order (ties by id)
+and replaces its incumbent only on strict improvement, so an exact witness
+is reproducible. A spent budget ends the loop, and the best set so far
+returns with status "lower-bound"; no search raises for it. The ``method``
+of each :class:`~genpos.budget.GpResult` is "exact", "rho", "omega" or
+"alpha".
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 from .budget import Budget, GpResult, SearchClock
-from .errors import InputError
-from .graph import (
-    INFINITY,
-    Graph,
-    GroundAction,
-    VertexSet,
-    connected_components,
-    induced_subgraph,
-    is_connected,
-    vertex_set,
-)
+from .graph import Graph, GroundAction, VertexSet, complement
 
 
 def _iter_bits(mask: int):
@@ -199,86 +195,6 @@ def _degree_order(g: Graph) -> tuple[list[int], list[int]]:
 
 def _to_original(internal, order: list[int]) -> VertexSet:
     return tuple(sorted(order[i] for i in internal))
-
-
-@dataclass(frozen=True, slots=True)
-class CliquePartition:
-    """Components of G[S] (each a clique) plus between-part distances.
-
-    ``part_distances[i][j]`` is the common distance between parts i and j
-    (well-defined by distance-constancy); the diagonal is 0 by convention.
-    """
-
-    parts: tuple[VertexSet, ...]
-    part_distances: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Violation:
-    """First failed condition of the structural characterization."""
-
-    condition: str  # "clique" | "distance-constant" | "in-transitive"
-    vertices: VertexSet
-    detail: str
-
-
-def is_general_position(d, s) -> bool:
-    """Definition-based test on the distance rows ``d``: no member between two others."""
-    sv = vertex_set(s, len(d))
-    for u, w, v in combinations(sv, 3):
-        duw, dwv, duv = d[u][w], d[w][v], d[u][v]
-        if duw == INFINITY or dwv == INFINITY or duv == INFINITY:
-            continue
-        if duv == duw + dwv or duw == duv + dwv or dwv == duw + duv:
-            return False
-    return True
-
-
-def characterization_check(g: Graph, d, s) -> CliquePartition | Violation:
-    """Structural test for connected g: clique components, distance-constant
-    and in-transitive between parts. Returns the :class:`CliquePartition`
-    when s passes, else the first :class:`Violation` found (components are
-    scanned in order of minimum member), reading g's distance rows ``d``."""
-    if not is_connected(g):
-        raise InputError("characterization_check needs a connected graph")
-    sv = vertex_set(s, g.n)
-    parts = [tuple(sv[i] for i in comp) for comp in connected_components(induced_subgraph(g, sv))]
-
-    def fail(condition: str, verts, detail: str) -> Violation:
-        return Violation(condition, vertex_set(verts, g.n), detail)
-
-    for part in parts:
-        for u, v in combinations(part, 2):
-            if not g.has_edge(u, v):
-                return fail(
-                    "clique", part, f"component {part} is not complete: {u} and {v} are non-adjacent"
-                )
-
-    k = len(parts)
-    dist = [[0] * k for _ in range(k)]
-    for i, j in combinations(range(k), 2):
-        d0 = d[parts[i][0]][parts[j][0]]
-        for u in parts[i]:
-            for v in parts[j]:
-                if d[u][v] != d0:
-                    return fail(
-                        "distance-constant",
-                        {parts[i][0], parts[j][0], u, v},
-                        f"parts {parts[i]} and {parts[j]}: d({u},{v})={d[u][v]} != d({parts[i][0]},{parts[j][0]})={d0}",
-                    )
-        dist[i][j] = dist[j][i] = d0
-
-    for a, b, c in combinations(range(k), 3):
-        for x, m, y in ((a, b, c), (b, a, c), (a, c, b)):
-            if dist[x][y] == dist[x][m] + dist[m][y]:
-                return fail(
-                    "in-transitive",
-                    {parts[x][0], parts[m][0], parts[y][0]},
-                    f"part {parts[m]} lies between parts {parts[x]} and {parts[y]}: "
-                    f"{dist[x][y]} = {dist[x][m]} + {dist[m][y]}",
-                )
-
-    return CliquePartition(tuple(parts), tuple(tuple(row) for row in dist))
 
 
 def _conflict_masks(bits: list[int], clock: SearchClock) -> list[list[int]] | None:
@@ -568,3 +484,105 @@ def gp_exact(g: Graph, budget: Budget | None = None) -> GpResult:
 
 
 gp_auto = gp_exact  # the old name, kept for perfbench/, which still imports it
+
+
+# --- maximum clique ---------------------------------------------------------
+
+
+def _color_bound(P: int, bits: list[int]) -> tuple[list[int], list[int]]:
+    # Greedy coloring of P; vertices listed in nondecreasing color, so the
+    # color doubles as an upper bound on any clique inside the prefix.
+    verts: list[int] = []
+    bound: list[int] = []
+    color = 0
+    rest = P
+    while rest:
+        color += 1
+        q = rest
+        taken = 0
+        while q:
+            b = q & -q
+            v = b.bit_length() - 1
+            verts.append(v)
+            bound.append(color)
+            taken |= b
+            q &= ~(bits[v] | b)
+        rest &= ~taken
+    return verts, bound
+
+
+def _run_omega(g: Graph, clock: SearchClock) -> tuple[int, VertexSet]:
+    tick = clock.tick
+    if g.n == 0 or not tick():
+        return 0, ()
+    bits, order = _degree_order(g)
+    best_size = 0
+    best_mask = 0
+
+    # Depth-first search on an explicit stack, one frame per coloured
+    # candidate set P: [vertices in colour order, their colour bounds, count
+    # of vertices not yet branched on, P minus those done, size, members].
+    # Branching runs from the highest colour down; one tick per colouring.
+    P = (1 << g.n) - 1
+    verts, bound = _color_bound(P, bits)
+    stack = [[verts, bound, len(verts), P, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        verts, bound, i, P, size, members = frame
+        i -= 1
+        if i < 0 or size + bound[i] <= best_size:
+            stack.pop()
+            continue
+        v = verts[i]
+        vbit = 1 << v
+        frame[2] = i
+        frame[3] = P ^ vbit
+        child = P & bits[v]
+        if child:
+            if not tick():
+                break
+            verts, bound = _color_bound(child, bits)
+            stack.append([verts, bound, len(verts), child, size + 1, members | vbit])
+        elif size + 1 > best_size:
+            best_size = size + 1
+            best_mask = members | vbit
+    return best_size, _to_original(_iter_bits(best_mask), order)
+
+
+def omega(g: Graph, budget: Budget | None = None) -> GpResult:
+    """Clique number ω(g) with a maximum-clique witness."""
+    clock = SearchClock(budget)
+    return clock.result(*_run_omega(g, clock), "omega")
+
+
+def alpha(g: Graph, budget: Budget | None = None) -> GpResult:
+    """Independence number α(g), computed as ω of the complement."""
+    clock = SearchClock(budget)
+    return clock.result(*_run_omega(complement(g), clock), "alpha")
+
+
+# --- ρ and η: the gp loop on induced-P3 masks ------------------------------
+
+
+def _p3_masks(bits: list[int], clock: SearchClock) -> list[list[int]] | None:
+    """blocked[a][b]: bitmask of the y with {a, b, y} inducing a P_3, i.e.
+    spanning two edges: N(a) ^ N(b) without a and b when a ~ b, else
+    N(a) & N(b). On closed neighbourhoods N[v] these are N[a] ^ N[b] and
+    N[a] & N[b]. None once the deadline passes (checked once per source
+    row, counting no node)."""
+    closed = [nb | 1 << b for b, nb in enumerate(bits)]
+    blocked = []
+    for a, ca in enumerate(closed):
+        if clock.expired():
+            return None
+        blocked.append([ca ^ cb if ca >> b & 1 else ca & cb for b, cb in enumerate(closed)])
+    return blocked
+
+
+def rho(g: Graph, budget: Budget | None = None) -> GpResult:
+    """ρ(g): maximum vertices covered by pairwise independent cliques."""
+    clock = SearchClock(budget)
+    return clock.result(*_run_gp(g, clock, _p3_masks), "rho")
+
+
+eta = rho  # η = ρ: see the module docstring

@@ -309,6 +309,14 @@ def test_predict_join(runner):
     assert rec["value_or_interval"] == 3
 
 
+# the params each record must carry, every option given included
+NEGATIVE_PARAMS = {
+    "join": {"omega_g": -4, "omega_h": -4, "rho_g": -1, "rho_h": -1},
+    "cartesian-lower": {"gp_g": 3, "gp_h": 3, "n_g": -2, "n_h": 4},
+    "corona": {"n_g": 3, "rho_h": -2},
+}
+
+
 @pytest.mark.parametrize(
     "args, reason",
     [
@@ -322,6 +330,7 @@ def test_predict_negative_arguments_not_applicable(runner, args, reason):
     rec = json.loads(res.output)
     assert res.exit_code == 0
     assert (rec["applicable"], rec["value_or_interval"], rec["reason"]) == (False, None, reason)
+    assert rec["params"] == NEGATIVE_PARAMS[args[0]]
 
 
 def test_predict_join_takes_four_arguments(runner):
@@ -334,7 +343,10 @@ PREDICT_RECORDS = [
     ("kneser3 7", '{"theorem": "thm2.4", "params": {"n": 7}, "applicable": true, "value_or_interval": 15, "witness": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]}'),
     ("kneser-condition 10 2", '{"theorem": "thm2.3", "params": {"n": 10, "k": 2}, "applicable": true, "value_or_interval": 9, "witness": [0, 1, 2, 3, 4, 5, 6, 7, 8]}'),
     ("kneser-condition 9 3", '{"theorem": "thm2.3", "params": {"n": 9, "k": 3}, "applicable": false, "value_or_interval": null, "witness": null, "reason": "inequality fails at t=2: 65 > 28"}'),
-    ("cartesian-lower 3 4 --n-g 5 --n-h 6", '{"theorem": "thm3.1", "params": {"gp_g": 3, "gp_h": 4}, "applicable": true, "value_or_interval": [5, 30], "witness": null}'),
+    # was '{"theorem": "thm3.1", "params": {"gp_g": 3, "gp_h": 4}, "applicable": true, "value_or_interval": [5, 30], "witness": null}'
+    ("cartesian-lower 3 4 --n-g 5 --n-h 6", '{"theorem": "thm3.1", "params": {"gp_g": 3, "gp_h": 4, "n_g": 5, "n_h": 6}, "applicable": true, "value_or_interval": [5, 30], "witness": null}'),
+    ("cartesian-lower 3 4", '{"theorem": "thm3.1", "params": {"gp_g": 3, "gp_h": 4}, "applicable": true, "value_or_interval": [5, null], "witness": null}'),
+    ("cartesian-lower 3 4 --n-h 6", '{"theorem": "thm3.1", "params": {"gp_g": 3, "gp_h": 4, "n_h": 6}, "applicable": true, "value_or_interval": [5, null], "witness": null}'),
     ("hamming 3 4", '{"theorem": "thm3.2", "params": {"ns": [3, 4]}, "applicable": true, "value_or_interval": 5, "witness": [1, 2, 3, 4, 8]}'),
     ("join 2 3 4 1", '{"theorem": "prop4.2", "params": {"omega_g": 2, "omega_h": 3, "rho_g": 4, "rho_h": 1}, "applicable": true, "value_or_interval": 5, "witness": null}'),
     ("corona 3 2", '{"theorem": "thm4.3", "params": {"n_g": 3, "rho_h": 2}, "applicable": true, "value_or_interval": 6, "witness": null}'),

@@ -136,6 +136,17 @@ def test_unfinished_input_makes_prediction_a_lower_bound(monkeypatch, eta_value,
     assert "lower bound" in r.note
 
 
+@pytest.mark.parametrize("stretch", [False, True])
+def test_diam2_searches_no_omega(monkeypatch, stretch):
+    # η ≥ ω, so max{ω, η} = η and thm4.1 needs no clique search
+    def no_omega(g, budget=None):
+        raise AssertionError("thm4.1 searched ω")
+
+    monkeypatch.setattr(genpos.harness, "omega", no_omega)
+    reports = run_verify("thm4.1", default_grid("thm4.1", stretch=stretch))
+    assert {r.verdict for r in reports} <= {"match", "not-applicable"}
+
+
 def test_interval_within_bound_even_under_budget():
     # an incumbent is a sound lower bound, so interval predictions can verify
     # without the search finishing

@@ -35,8 +35,7 @@ from genpos import (
     rho,
 )
 from genpos.budget import SearchClock
-from genpos.invariants import _p3_masks
-from genpos.solver import _conflict_masks, _cover, _degree_order
+from genpos.solver import _conflict_masks, _cover, _degree_order, _p3_masks
 
 import corpus
 import oracles
