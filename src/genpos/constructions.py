@@ -19,16 +19,14 @@ check runs before an edge is drawn; one that lists a point per vertex first
 hands its order to that check before it does. ``kneser`` and ``line_graph``
 list their edges directly, in time proportional to their number.
 
-Some constructors also attach the symmetry they know as a
-:class:`~genpos.graph.GroundAction`: ``complete`` (Sym(n) on the
-vertices), ``kneser`` (Sym(n) on {1..n}), ``line_graph`` of any
-complete graph, with or without an action (Sym(n) on the ends of the
-edges), and ``cartesian_product`` of two factors that both carry one, which
-puts h's ground set above g's, so that each factor's blocks keep their bits.
-The graph checks the action when it is built. Every other graph, including
-a product with an action-free factor such as K_q □ C_m, has no action.
-``edgeless`` has none either: E_n's masks are all 0, so no orbit is ever
-removed, and Sym(n) would list a point per vertex, about n²/16 bytes.
+Constructors attach the symmetry they know as a
+:class:`~genpos.graph.GroundAction`: ``kneser`` Sym(n) on {1..n},
+``line_graph`` of a complete graph (2|E| = n(n - 1)) Sym(n) on the ends of
+its edges, and ``cartesian_product`` its factors' actions, where a complete
+factor without one lends Sym(n) on its vertices and h's ground set sits
+above g's, so that each factor's blocks keep their bits. The graph checks
+the action when it is built. Every other graph has none, K_n and E_n
+included: their masks are all 0, so no orbit is ever removed.
 """
 
 from __future__ import annotations
@@ -40,17 +38,18 @@ from .errors import InputError
 from .graph import MAX_N, Graph, GroundAction, _check_count
 
 
-def _sym(size: int, masks) -> GroundAction:
-    """Sym(size) acting on one block whose vertices are ``masks``."""
-    return GroundAction((size,), tuple(masks))
+def _action(g: Graph) -> GroundAction | None:
+    """g's action, or Sym(n) on the vertices of a complete g that has none."""
+    if g.action is None and 2 * g.edge_count == g.n * (g.n - 1):
+        return GroundAction((g.n,), tuple(1 << v for v in range(g.n)))
+    return g.action
 
 
 def complete(n: int) -> Graph:
     """K_n."""
     if n < 1:
         raise InputError(f"complete(n) needs n >= 1, got {n}")
-    _check_count(n)  # before the action lists a point per vertex
-    return Graph.from_edges(n, combinations(range(n), 2), action=_sym(n, (1 << v for v in range(n))))
+    return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def edgeless(n: int) -> Graph:
@@ -117,7 +116,7 @@ def kneser(n: int, k: int) -> Graph:
         for w in combinations([b for b in bits if b > p & -p and not b & p], k)
     )
     labels = ("{" + ",".join(map(str, v)) + "}" for v in verts)
-    return Graph.from_edges(len(verts), edges, labels, _sym(n, points))
+    return Graph.from_edges(len(verts), edges, labels, GroundAction((n,), tuple(points)))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -130,7 +129,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
         ((a * nh + b, a2 * nh + b) for a, a2 in g.edges() for b in range(nh)),
     )
     labels = (f"({a},{b})" for a in range(ng) for b in range(nh))
-    ag, ah = g.action, h.action
+    ag, ah = _action(g), _action(h)
     action = None
     if ag is not None and ah is not None:
         shift = sum(ag.sizes)
@@ -176,5 +175,5 @@ def line_graph(g: Graph) -> Graph:
     labels = (f"{{{u},{v}}}" for u, v in edge_list)
     action = None
     if len(edge_list) == g.n * (g.n - 1) // 2:
-        action = _sym(g.n, (1 << u | 1 << v for u, v in edge_list))
+        action = GroundAction((g.n,), tuple(1 << u | 1 << v for u, v in edge_list))
     return Graph.from_edges(len(edge_list), edges, labels, action)

@@ -129,10 +129,13 @@ def gp_cartesian_lower(gp_g: int, gp_h: int, n_g: int | None = None, n_h: int | 
 
     The trivial upper bound n(G)·n(H) is attached when the orders are
     supplied; connectivity of the factors is the caller's responsibility
-    (only the gp values travel in).
+    (only the gp values travel in). A connected factor has 1 <= gp <= n.
     """
     if (na := _negative(gp_g=gp_g, gp_h=gp_h, n_g=n_g, n_h=n_h)) is not None:
         return na
+    for name, n, gp in (("n_g", n_g, gp_g), ("n_h", n_h, gp_h)):
+        if n is not None and n < max(1, gp):
+            return _na(f"needs {name} >= max(1, gp_{name[-1]}) = {max(1, gp)}, got {n}")
     upper = n_g * n_h if n_g is not None and n_h is not None else None
     return Prediction(True, lower=gp_g + gp_h - 2, upper=upper)
 

@@ -108,7 +108,7 @@ blocks independently (Sym(n) on the k-subsets of {1..n} in K(n,k) and on
 the edges of K_n in L(K_n), Sym(q_i) on block i of K_q1 □ ... □ K_qd). The
 graph checked the action when it was built, so the search relies on it.
 Graphs without an action, including every graph read from a file and every
-product with an action-free factor, run the plain search.
+product with an incomplete action-free factor, run the plain search.
 
 The pointwise stabilizer Stab(S) of the chosen vertices is again such a
 product: it permutes each cell freely, where a cell is a class of the

@@ -115,11 +115,10 @@ def action_free(g):
 
 
 def symmetric_named():
-    """Constructor-built graphs that carry a ground-set action, so that the
-    gp search prunes orbits on them; every family the pruning handles."""
+    """Graphs with a constructor's action, one per family the pruning handles."""
     builds = {
-        "K1": complete(1),
-        "K5": complete(5),
+        "C3xC3": cartesian_product(cycle(3), cycle(3)),
+        "P2xP2xP2": cartesian_product(cartesian_product(path(2), path(2)), path(2)),
         "K(4,2)": kneser(4, 2),  # 3K_2, disconnected
         "K(5,2)": kneser(5, 2),
         "K(6,2)": kneser(6, 2),

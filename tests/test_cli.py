@@ -347,6 +347,7 @@ PREDICT_RECORDS = [
     ("cartesian-lower 3 4 --n-g 5 --n-h 6", '{"theorem": "thm3.1", "params": {"gp_g": 3, "gp_h": 4, "n_g": 5, "n_h": 6}, "applicable": true, "value_or_interval": [5, 30], "witness": null}'),
     ("cartesian-lower 3 4", '{"theorem": "thm3.1", "params": {"gp_g": 3, "gp_h": 4}, "applicable": true, "value_or_interval": [5, null], "witness": null}'),
     ("cartesian-lower 3 4 --n-h 6", '{"theorem": "thm3.1", "params": {"gp_g": 3, "gp_h": 4, "n_h": 6}, "applicable": true, "value_or_interval": [5, null], "witness": null}'),
+    ("cartesian-lower 5 5 --n-g 1 --n-h 1", '{"theorem": "thm3.1", "params": {"gp_g": 5, "gp_h": 5, "n_g": 1, "n_h": 1}, "applicable": false, "value_or_interval": null, "witness": null, "reason": "needs n_g >= max(1, gp_g) = 5, got 1"}'),
     ("hamming 3 4", '{"theorem": "thm3.2", "params": {"ns": [3, 4]}, "applicable": true, "value_or_interval": 5, "witness": [1, 2, 3, 4, 8]}'),
     ("join 2 3 4 1", '{"theorem": "prop4.2", "params": {"omega_g": 2, "omega_h": 3, "rho_g": 4, "rho_h": 1}, "applicable": true, "value_or_interval": 5, "witness": null}'),
     ("corona 3 2", '{"theorem": "thm4.3", "params": {"n_g": 3, "rho_h": 2}, "applicable": true, "value_or_interval": 6, "witness": null}'),

@@ -1,7 +1,9 @@
 from itertools import combinations
 from math import comb
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from genpos import (
     InputError,
@@ -126,6 +128,16 @@ def test_gp_cartesian_lower_interval():
     assert pred.interval == (4, None)
     pred = gp_cartesian_lower(3, 3, n_g=3, n_h=4)
     assert pred.interval == (4, 12)
+
+
+SMALL = st.integers(-1, 6)
+
+
+@given(SMALL, SMALL, st.none() | SMALL, st.none() | SMALL)
+def test_gp_cartesian_lower_interval_is_never_empty(gp_g, gp_h, n_g, n_h):
+    # a connected factor has 1 <= gp <= n, so an order of 0 or below gp is refused
+    pred = gp_cartesian_lower(gp_g, gp_h, n_g, n_h)
+    assert not pred.applicable or pred.upper is None or pred.lower <= pred.upper
 
 
 def test_cartesian_witness_shape_and_validity():

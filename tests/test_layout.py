@@ -1,9 +1,9 @@
 """Module layout rules, read off the source with ``ast``.
 
 The membership checks in ``graph.py`` must share no code with the searches
-in ``solver.py``, the searches keep their internals to themselves, no
-module carries an import it does not use, and ``import genpos`` stays free
-of the CLI.
+in ``solver.py``, the searches keep their internals to themselves, the
+constructors are the one place that builds a symmetry, no module carries an
+import it does not use, and ``import genpos`` stays free of the CLI.
 """
 
 import ast
@@ -76,6 +76,22 @@ def test_no_module_reaches_into_the_solver(path):
         ):
             found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
     assert not found, f"{path.name} uses private names of genpos.solver: {found}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "constructions.py"], ids=lambda p: p.name)
+def test_only_the_constructors_build_actions(path):
+    tree = _tree(path)
+    names = {"GroundAction"} | {bound for _, _, name, bound in _imports(tree) if name == "GroundAction"}
+    found = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id in names
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "GroundAction"
+        )
+    ]
+    assert not found, f"{path.name} calls GroundAction: {found}"
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)

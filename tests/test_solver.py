@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from functools import reduce
 from math import comb
 
 import hypothesis.strategies as st
@@ -130,6 +131,7 @@ def test_node_counts_pinned(g, value, nodes):
         pytest.param(kneser(8, 3), 21, 314, id="K(8,3)"),  # 906; 1,272; 47,963; 1,419,313
         pytest.param(line_graph(complete(12)), 12, 103, id="L(K12)"),  # 104; 114; 1,529,860; 13,919,095
         pytest.param(cartesian_product(complete(7), complete(7)), 12, 160, id="K7xK7"),  # 192; 192; 375,607; 3,982,281
+        pytest.param(reduce(cartesian_product, [path(2)] * 6), 8, 1099, id="Q6-from-P2"),  # 7,189 before products read completeness
     ],
 )
 def test_pruned_node_counts_pinned(g, value, nodes):

@@ -50,7 +50,6 @@ SYMMETRIC = corpus.symmetric_named()
 
 def test_constructors_attach_actions():
     assert kneser(5, 2).action.points[0] == 0b00011  # {1,2}
-    assert complete(3).action == GroundAction((3,), (1, 2, 4))
     assert line_graph(complete(4)).action.points[0] == 0b0011  # the edge {0,1}
     a = cartesian_product(complete(2), complete(3)).action
     assert a.sizes == (2, 3)
@@ -78,6 +77,23 @@ def test_line_graph_of_any_complete_graph_carries_the_action(g):
 @pytest.mark.parametrize(
     "g",
     [
+        decode_graph6(encode_graph6(complete(3))),
+        Graph(3, complete(3).adj),
+        cycle(3),
+        join(complete(1), complete(2)),
+    ],
+    ids=["graph6", "copy", "cycle", "join"],
+)
+def test_product_of_any_complete_graph_carries_the_action(g):
+    # cartesian_product reads completeness off the edge count, as line_graph does
+    assert g.action is None
+    assert cartesian_product(g, path(2)).action == corpus.hamming(3, 2).action
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete(5),
         path(4),
         cycle(5),
         cartesian_product(cycle(4), path(3)),  # neither factor has an action
@@ -86,7 +102,7 @@ def test_line_graph_of_any_complete_graph_carries_the_action(g):
         join(complete(2), complete(2)),
         disjoint_union(complete(2), complete(2)),
         corona(complete(2), complete(1)),
-        cartesian_product(complete(3), cycle(4)),  # one factor has an action
+        cartesian_product(complete(3), cycle(4)),  # one factor is complete
         cartesian_product(path(3), kneser(5, 2)),
         complement(kneser(5, 2)),
         induced_subgraph(kneser(5, 2), range(5)),
@@ -124,7 +140,7 @@ def test_action_of_another_labelling_is_refused():
 @pytest.mark.parametrize(
     "g,action",
     [
-        (cycle(5), complete(5).action),  # (0 1) maps the edge 1-2 to 0-2
+        (cycle(5), GroundAction((5,), (1, 2, 4, 8, 16))),  # (0 1) maps the edge 1-2 to 0-2
         (edgeless(3), GroundAction((3,), (1, 1, 2))),  # shared point
         (edgeless(2), GroundAction((1,), (1, 2))),  # outside the ground set
         (edgeless(3), GroundAction((3,), (1, 2))),  # too few points
