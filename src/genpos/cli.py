@@ -5,6 +5,10 @@ The per-instance search budget is the --budget-ms option, which click reads
 from the GP_BUDGET_MS environment variable when the option is not given
 (default 10000 ms; a value <= 0 removes the time limit).
 
+Each ``predict`` subcommand reads its theorem's formula from
+``harness.FORMULAS``, where every formula is bound, and its arguments off
+the formula's signature.
+
 Exit codes: 0 success / all verified, 1 mismatch (or, under --strict,
 timeout), 2 input error, 3 budget exhausted with unresolved grid points.
 Exit 2 comes from click's usage errors and from one gate, ``main``'s
@@ -16,26 +20,13 @@ from __future__ import annotations
 import inspect
 import json
 import sys
-from collections.abc import Callable
 
 import click
 
 from .budget import Budget, GpResult
 from .errors import InputError, digit_limit
-from .formulas import (
-    Prediction,
-    ekr_bound,
-    gp_cartesian_lower,
-    gp_corona,
-    gp_join,
-    gp_kneser2,
-    gp_kneser3,
-    gp_line_complete,
-    hamming_lower,
-    kneser_condition,
-)
 from .graph import CliquePartition, characterization_check, distances, is_connected, is_general_position
-from .harness import MISMATCH, TIMEOUT, build_graph_spec, default_grid, emit_table, prediction_json, run_verify, theorem_ids
+from .harness import FORMULAS, MISMATCH, TIMEOUT, build_graph_spec, default_grid, emit_table, prediction_json, run_verify, theorem_ids
 from .io import dumps_json, encode_graph6, parse_json, read_graph, write_graph
 from .solver import alpha, eta, gp_exact, omega, rho
 
@@ -124,60 +115,50 @@ def predict():
     """Closed-form predictions (no search)."""
 
 
-def _echo_prediction(theorem: str, params: dict, predict: Callable[[], Prediction]) -> None:
-    # every predict subcommand prints through here
-    with digit_limit("the prediction holds a number"):
-        pred = predict()
-        record = {
-            "theorem": theorem,
-            "params": params,
-            "applicable": pred.applicable,
-            "value_or_interval": prediction_json(pred),
-            "witness": None if pred.witness is None else list(pred.witness),
-        }
-        if not pred.applicable:
-            record["reason"] = pred.reason
-        click.echo(json.dumps(record))
-
-
-@predict.command("cartesian-lower")
-@click.argument("gp_g", type=int)
-@click.argument("gp_h", type=int)
-@click.option("--n-g", type=int, default=None, help="Order of G (adds the trivial upper bound).")
-@click.option("--n-h", type=int, default=None, help="Order of H.")
-def predict_cartesian_lower(gp_g, gp_h, n_g, n_h):
-    """gp(G□H) >= gp(G) + gp(H) - 2."""
-    params = {"gp_g": gp_g, "gp_h": gp_h, "n_g": n_g, "n_h": n_h}
-    params = {k: v for k, v in params.items() if v is not None}  # the options given
-    _echo_prediction("thm3.1", params, lambda: gp_cartesian_lower(gp_g, gp_h, n_g, n_h))
-
-
-@predict.command("hamming")
-@click.argument("ns", nargs=-1, type=int, required=True)
-def predict_hamming(ns):
-    """gp(K_{n1} [] ... [] K_{nk}) >= sum(n_i) - k (exact for k=2)."""
-    _echo_prediction("thm3.2", {"ns": list(ns)}, lambda: hamming_lower(list(ns)))
-
-
-# subcommand -> (theorem id, formula, help); each takes its formula's integer
-# parameters as arguments, in order and under the same names
+# subcommand -> (theorem id, help). A command's arguments are its formula's
+# parameters, under the same names and in order: ns takes one or more
+# integers, and a parameter with a default is an --option that params leaves
+# out when it is not given
 _PREDICTIONS = {
-    "kneser2": ("thm2.2", gp_kneser2, "gp(K(n,2))."),
-    "kneser3": ("thm2.4", gp_kneser3, "gp(K(n,3))."),
-    "kneser-condition": ("thm2.3", kneser_condition, "Sufficient condition for gp(K(n,k)) = C(n-1,k-1)."),
-    "join": ("prop4.2", gp_join, "gp(G + H) from the factors' ω and ρ."),
-    "corona": ("thm4.3", gp_corona, "gp(G o H) = n(G) * rho(H) for n(G) >= 2."),
-    "line-complete": ("thm4.4", gp_line_complete, "gp(L(K_n))."),
-    "ekr": ("ekr", ekr_bound, "Erdos-Ko-Rado bound C(n-1,k-1) on alpha(K(n,k)) for n >= 2k."),
+    "kneser2": ("thm2.2", "gp(K(n,2))."),
+    "kneser3": ("thm2.4", "gp(K(n,3))."),
+    "kneser-condition": ("thm2.3", "Sufficient condition for gp(K(n,k)) = C(n-1,k-1)."),
+    "cartesian-lower": ("thm3.1", "gp(G□H) >= gp(G) + gp(H) - 2. The orders --n-g and --n-h add the trivial upper bound."),
+    "hamming": ("thm3.2", "gp(K_{n1} [] ... [] K_{nk}) >= sum(n_i) - k (exact for k=2)."),
+    "join": ("prop4.2", "gp(G + H) from the factors' ω and ρ."),
+    "corona": ("thm4.3", "gp(G o H) = n(G) * rho(H) for n(G) >= 2."),
+    "line-complete": ("thm4.4", "gp(L(K_n))."),
+    "ekr": ("ekr", "Erdos-Ko-Rado bound C(n-1,k-1) on alpha(K(n,k)) for n >= 2k."),
 }
 
 
-def _add_prediction(name: str, theorem: str, formula, doc: str) -> None:
-    def command(**params):
-        _echo_prediction(theorem, params, lambda: formula(**params))
+def _add_prediction(name: str, theorem: str, doc: str) -> None:
+    formula = FORMULAS[theorem]
+    signature = list(inspect.signature(formula).parameters.values())
 
-    for param in reversed(inspect.signature(formula).parameters):
-        command = click.argument(param, type=int)(command)
+    def command(**given):
+        # the formula's parameter order, not click's (options first)
+        params = {p.name: given[p.name] for p in signature if given[p.name] is not None}
+        if "ns" in params:
+            params["ns"] = list(params["ns"])
+        with digit_limit("the prediction holds a number"):
+            pred = formula(**params)
+            record = {
+                "theorem": theorem,
+                "params": params,
+                "applicable": pred.applicable,
+                "value_or_interval": prediction_json(pred),
+                "witness": None if pred.witness is None else list(pred.witness),
+            }
+            if not pred.applicable:
+                record["reason"] = pred.reason
+            click.echo(json.dumps(record))
+
+    for p in reversed(signature):
+        if p.default is not p.empty:
+            command = click.option(f"--{p.name.replace('_', '-')}", type=int)(command)
+        else:
+            command = click.argument(p.name, type=int, nargs=-1 if p.name == "ns" else 1, required=True)(command)
     predict.command(name, help=doc)(command)
 
 
@@ -237,7 +218,7 @@ def verify(run_all, theorem_id, quick, strict, grid_json, fmt, budget_nodes, bud
     budget = _budget(budget_nodes, budget_ms)
     grid = None if grid_json is None else parse_json(grid_json)
     reports = []
-    with digit_limit("the prediction holds a number"):  # as in _echo_prediction
+    with digit_limit("the prediction holds a number"):  # as in predict
         for tid in ids:
             reports.extend(run_verify(tid, default_grid(tid, stretch=not quick) if grid is None else grid, budget))
         click.echo(emit_table(reports, fmt), nl=False)

@@ -13,7 +13,8 @@ built from vertex ids are reproducible across runs:
 * ``line_graph(g)``: vertices are the edges of g sorted by (min, max)
   endpoint; labels look like ``"{u,v}"``.
 
-Constructors validate their inputs but never relabel or canonicalize them.
+Constructors validate their inputs, an integer argument by the rule of
+``graph._is_index``, but never relabel or canonicalize them.
 They stream their edges and labels into ``Graph.from_edges``, so its order
 check runs before an edge is drawn; one that lists a point per vertex first
 hands its order to that check before it does. ``kneser`` and ``line_graph``
@@ -33,9 +34,26 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 from math import comb
+from operator import index
 
 from .errors import InputError
-from .graph import MAX_N, Graph, GroundAction, _check_count
+from .graph import MAX_N, Graph, GroundAction, _check_count, _is_index
+
+
+def _check_args(rule: str, *args, low: int = 1) -> None:
+    """The constructors' one argument check: ``args`` are integers (see
+    :func:`graph._is_index`), none below the next and the last at least
+    ``low``; otherwise InputError, with ``args`` filled into ``rule``."""
+    bounds = (*args, low)
+    if not (all(_is_index(a) for a in args) and all(a >= b for a, b in zip(bounds, bounds[1:]))):
+        raise InputError(rule.format(*map(repr, args)))
+
+
+def _comb_log2_lower(n: int, k: int) -> int:
+    """A b with C(n, k) >= 2^b, found without ``comb``, whose time grows
+    with k: C(n, m) >= (n / m)^m for m = min(k, n - k)."""
+    m = min(k, n - k)
+    return m * (index(n // m).bit_length() - 1) if m > 0 else 0  # index: comb's TypeError for a float
 
 
 def _action(g: Graph) -> GroundAction | None:
@@ -47,29 +65,25 @@ def _action(g: Graph) -> GroundAction | None:
 
 def complete(n: int) -> Graph:
     """K_n."""
-    if n < 1:
-        raise InputError(f"complete(n) needs n >= 1, got {n}")
+    _check_args("complete(n) needs n >= 1, got {}", n)
     return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def edgeless(n: int) -> Graph:
     """The empty graph on n vertices."""
-    if n < 1:
-        raise InputError(f"edgeless(n) needs n >= 1, got {n}")
+    _check_args("edgeless(n) needs n >= 1, got {}", n)
     return Graph.from_edges(n, [])
 
 
 def path(n: int) -> Graph:
     """P_n on vertices 0..n-1 in order."""
-    if n < 1:
-        raise InputError(f"path(n) needs n >= 1, got {n}")
+    _check_args("path(n) needs n >= 1, got {}", n)
     return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     """C_n on vertices 0..n-1 in cyclic order."""
-    if n < 3:
-        raise InputError(f"cycle(n) needs n >= 3, got {n}")
+    _check_args("cycle(n) needs n >= 3, got {}", n, low=3)
     return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
@@ -98,11 +112,9 @@ def ksubset_index(n: int, subset: tuple[int, ...]) -> int:
 
 def kneser(n: int, k: int) -> Graph:
     """Kneser graph K(n, k): k-subsets of {1..n}, adjacent iff disjoint."""
-    if k < 1 or n < k:
-        raise InputError(f"kneser(n, k) needs n >= k >= 1, got n={n}, k={k}")
-    # C(n, k) >= 2^min(k, n - k), so this refuses without comb, whose time grows with k
-    if min(k, n - k) >= (log2_max := (MAX_N - 1).bit_length()):
-        raise InputError(f"kneser(n, k) has at least 2^{log2_max} vertices when min(k, n - k) >= {log2_max}")
+    _check_args("kneser(n, k) needs n >= k >= 1, got n={}, k={}", n, k)
+    if (log2 := _comb_log2_lower(n, k)) >= (MAX_N - 1).bit_length():
+        raise InputError(f"kneser(n, k) has at least 2^{log2} vertices, past the order limit {MAX_N}")
     _check_count(comb(n, k))  # before the subsets and their points are listed
     verts = ksubsets(n, k)
     points = [sum(1 << (e - 1) for e in v) for v in verts]

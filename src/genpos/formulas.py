@@ -16,7 +16,7 @@ from math import comb, prod
 
 from .errors import InputError
 from .graph import MAX_N, Graph, VertexSet, vertex_set
-from .constructions import ksubset_index
+from .constructions import _comb_log2_lower, ksubset_index
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,11 +62,11 @@ def _capped(order: int, witness) -> VertexSet | None:
 
 
 def _printable_comb(n: int, k: int) -> int:
-    """C(n, k); once its lower bound 2^min(k, n - k) is too long to print, Python's ValueError for that
-    (see :func:`genpos.errors.digit_limit`) instead, raised before ``comb``, whose time grows with k."""
+    """C(n, k); once its lower bound 2^b (b from ``constructions._comb_log2_lower``) is too long to print,
+    Python's ValueError for that (see :func:`genpos.errors.digit_limit`) instead, raised before ``comb``."""
     limit = sys.get_int_max_str_digits()
-    # 2^m has more than `limit` digits iff 2^m > 10^limit iff m >= bit_length(10^limit)
-    if limit and min(k, n - k) >= (10**limit).bit_length():
+    # 2^b has more than `limit` digits iff 2^b > 10^limit iff b >= bit_length(10^limit)
+    if limit and _comb_log2_lower(n, k) >= (10**limit).bit_length():
         raise ValueError(f"C(n, k) has more than {limit} digits")
     return comb(n, k)
 

@@ -3,9 +3,13 @@
 Each registered theorem id maps to a runner that builds the graph(s) for one
 grid point, evaluates the closed-form prediction, runs the solver, and
 returns both for comparison, with the searches (ω, η, ρ, factor gp) the
-prediction was computed from. Grids live in ``data/grids.json`` (a quick grid
-and a stretch grid per theorem) so scripted runs and long runs share one
-manifest.
+prediction was computed from. :data:`FORMULAS` is the one place that binds
+a theorem id to its closed form; the runners and ``genpos predict`` both
+read it there. Where a formula's parameters are the grid point's own (the
+Kneser, Hamming, L(K_n) and EKR points), the runner reads them off the
+formula's signature and ignores the point's other keys. Grids live in
+``data/grids.json`` (a quick grid and a stretch grid per theorem) so
+scripted runs and long runs share one manifest.
 
 Verdicts: ``match`` (exact solve equals an exact prediction), ``within-bound``
 (value inside a predicted interval — sound even when the search timed out,
@@ -19,28 +23,20 @@ prediction is only a lower bound: an exact value below it is a
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import time
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
 from typing import Any, Callable
 
 from . import constructions as cons
+from . import formulas
 from .budget import EXACT, Budget, GpResult
 from .errors import InputError
-from .formulas import (
-    Prediction,
-    ekr_bound,
-    gp_cartesian_lower,
-    gp_corona,
-    gp_join,
-    gp_kneser2,
-    gp_kneser3,
-    gp_line_complete,
-    hamming_lower,
-    kneser_condition,
-)
+from .formulas import Prediction
 from .graph import Graph, diameter, is_connected
 from .solver import alpha, eta, gp_exact, omega, rho
 
@@ -93,15 +89,8 @@ def build_graph_spec(spec: Any) -> Graph:
         raise InputError("graph spec is nested too deeply") from None
     try:
         return fn(*built)
-    except (TypeError, AttributeError) as e:  # wrong arity, or a number where a graph belongs
+    except (InputError, TypeError, AttributeError) as e:  # refused, wrong arity, or a number where a graph belongs
         raise InputError(f"bad arguments for {spec['family']!r}: {e}") from None
-
-
-def _hamming(ns: list[int]) -> Graph:
-    g = cons.complete(ns[0])
-    for n in ns[1:]:
-        g = cons.cartesian_product(g, cons.complete(n))
-    return g
 
 
 # --- runners: params -> (prediction, computed, inputs) ----------------------
@@ -109,16 +98,34 @@ def _hamming(ns: list[int]) -> Graph:
 
 _Run = tuple[Prediction, GpResult | None, tuple]
 
+# theorem id -> its closed form: ``genpos predict`` and the runners below
+# both read it here (thm4.1 has none: its prediction is a search)
+FORMULAS: dict[str, Callable[..., Prediction]] = {
+    "thm2.2": formulas.gp_kneser2,
+    "thm2.3": formulas.kneser_condition,
+    "thm2.4": formulas.gp_kneser3,
+    "thm3.1": formulas.gp_cartesian_lower,
+    "thm3.2": formulas.hamming_lower,
+    "prop4.2": formulas.gp_join,
+    "thm4.3": formulas.gp_corona,
+    "thm4.4": formulas.gp_line_complete,
+    "ekr": formulas.ekr_bound,
+}
 
-def _closed_form(predict: Callable[[dict], Prediction], build: Callable[[dict], Graph]) -> Callable[..., _Run]:
-    """Runner for a closed form: solve the built graph unless the formula is
-    silent at this point."""
+
+def _closed_form(theorem: str, build: Callable[..., Graph], search=gp_exact) -> Callable[..., _Run]:
+    """Runner for a closed form of the point's parameters: ``search`` the
+    graph ``build`` makes from the same parameters unless the formula is
+    silent there. Keys the formula does not name are ignored."""
+    formula = FORMULAS[theorem]
+    names = list(inspect.signature(formula).parameters)
 
     def run(params: dict, budget: Budget | None) -> _Run:
-        pred = predict(params)
+        args = [params[name] for name in names]
+        pred = formula(*args)
         if not pred.applicable:
             return pred, None, ()
-        return pred, gp_exact(build(params), budget), ()
+        return pred, search(build(*args), budget), ()
 
     return run
 
@@ -130,7 +137,7 @@ def _run_cartesian_lower(params: dict, budget: Budget | None) -> _Run:
         return Prediction(False, reason="factors must be connected"), None, ()
     rg = gp_exact(g, budget)
     rh = gp_exact(h, budget)
-    pred = gp_cartesian_lower(rg.value, rh.value, g.n, h.n)
+    pred = FORMULAS["thm3.1"](rg.value, rh.value, g.n, h.n)
     return pred, gp_exact(cons.cartesian_product(g, h), budget), (rg, rh)
 
 
@@ -149,7 +156,7 @@ def _run_join(params: dict, budget: Budget | None) -> _Run:
     h = build_graph_spec(params["h"])
     wg, wh = omega(g, budget), omega(h, budget)
     rg, rh = rho(g, budget), rho(h, budget)
-    pred = gp_join(wg.value, wh.value, rg.value, rh.value)
+    pred = FORMULAS["prop4.2"](wg.value, wh.value, rg.value, rh.value)
     return pred, gp_exact(cons.join(g, h), budget), (wg, wh, rg, rh)
 
 
@@ -157,31 +164,23 @@ def _run_corona(params: dict, budget: Budget | None) -> _Run:
     g = build_graph_spec(params["g"])
     h = build_graph_spec(params["h"])
     rh = rho(h, budget)
-    pred = gp_corona(g.n, rh.value)
+    pred = FORMULAS["thm4.3"](g.n, rh.value)
     if not pred.applicable:
         return pred, None, ()
     return pred, gp_exact(cons.corona(g, h), budget), (rh,)
 
 
-def _run_ekr(params: dict, budget: Budget | None) -> _Run:
-    n, k = params["n"], params["k"]
-    pred = ekr_bound(n, k)
-    if not pred.applicable:
-        return pred, None, ()
-    return pred, alpha(cons.kneser(n, k), budget), ()
-
-
 _REGISTRY: dict[str, Callable[[dict, Budget | None], _Run]] = {
-    "thm2.2": _closed_form(lambda p: gp_kneser2(p["n"]), lambda p: cons.kneser(p["n"], 2)),
-    "thm2.3": _closed_form(lambda p: kneser_condition(p["n"], p["k"]), lambda p: cons.kneser(p["n"], p["k"])),
-    "thm2.4": _closed_form(lambda p: gp_kneser3(p["n"]), lambda p: cons.kneser(p["n"], 3)),
+    "thm2.2": _closed_form("thm2.2", lambda n: cons.kneser(n, 2)),
+    "thm2.3": _closed_form("thm2.3", cons.kneser),
+    "thm2.4": _closed_form("thm2.4", lambda n: cons.kneser(n, 3)),
     "thm3.1": _run_cartesian_lower,
-    "thm3.2": _closed_form(lambda p: hamming_lower(p["ns"]), lambda p: _hamming(p["ns"])),
+    "thm3.2": _closed_form("thm3.2", lambda ns: reduce(cons.cartesian_product, map(cons.complete, ns))),
     "thm4.1": _run_diam2,
     "prop4.2": _run_join,
     "thm4.3": _run_corona,
-    "thm4.4": _closed_form(lambda p: gp_line_complete(p["n"]), lambda p: cons.line_graph(cons.complete(p["n"]))),
-    "ekr": _run_ekr,
+    "thm4.4": _closed_form("thm4.4", lambda n: cons.line_graph(cons.complete(n))),
+    "ekr": _closed_form("ekr", cons.kneser, alpha),
 }
 
 
@@ -251,12 +250,11 @@ def prediction_json(pred: Prediction) -> int | list | None:
 
 
 def _fmt_predicted(pred: Prediction) -> str:
-    if not pred.applicable:
-        return "n/a"
-    if pred.value is not None:
-        return str(pred.value)
-    lo, hi = pred.interval
-    return f"[{lo},{'inf' if hi is None else hi}]"
+    shown = prediction_json(pred)
+    if isinstance(shown, list):
+        lo, hi = shown
+        return f"[{lo},{'inf' if hi is None else hi}]"
+    return "n/a" if shown is None else str(shown)
 
 
 def emit_table(reports: list[TheoremReport], format: str = "csv") -> str:

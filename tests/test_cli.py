@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import genpos
 import genpos.cli
 from genpos import TheoremReport, Prediction, decode_graph6, kneser, path, write_graph
 from genpos.cli import main
+from genpos.harness import FORMULAS
 
 
 @pytest.fixture
@@ -363,6 +365,17 @@ def test_predict_record_pinned(runner, argv, record):
     assert res.output == record + "\n"
 
 
+@pytest.mark.parametrize("name", sorted(genpos.cli._PREDICTIONS))
+def test_predict_params_are_the_formulas_parameters(name):
+    # harness.FORMULAS is the one place a theorem meets its formula: the
+    # subcommand's fullest pinned record names that formula's parameters, in order
+    theorem = genpos.cli._PREDICTIONS[name][0]
+    records = [json.loads(record) for argv, record in PREDICT_RECORDS if argv.split()[0] == name]
+    assert records and all(rec["theorem"] == theorem for rec in records)
+    fullest = max((list(rec["params"]) for rec in records), key=len)
+    assert fullest == list(inspect.signature(FORMULAS[theorem]).parameters)
+
+
 # C(718, 2) = 257,403 < MAX_N = 258,048 <= C(719, 2) (was 724 and 725, around 2^18)
 @pytest.mark.parametrize("n, ids", [(718, 717), (719, None)])
 def test_predict_star_witness_boundary(runner, n, ids):
@@ -422,12 +435,18 @@ def test_predict_number_past_the_digit_limit_exits_2(argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["ekr", "100000000000", "50000000000"], ["kneser-condition", "200000000000", "50000000000"]],
-    ids=["ekr", "kneser-condition"],
+    [
+        ["ekr", "100000000000", "50000000000"],
+        ["kneser-condition", "200000000000", "50000000000"],
+        ["ekr", "1" + "0" * 200, "14000"],
+        ["kneser-condition", "1000000000000", "5000"],
+    ],
+    ids=["ekr", "kneser-condition", "ekr-n-much-larger", "kneser-condition-n-much-larger"],
 )
 def test_predict_huge_k_exits_2_before_its_binomial_is_computed(argv):
-    # C(n-1, k-1) >= 2^min(k-1, n-k) has far more than 4300 digits, and
-    # computing it would take hours
+    # C(n-1, k-1) >= ((n-1)/m)^m, m = min(k-1, n-k), has far more than 4300
+    # digits, and computing it would take hours, or with n >> k seconds (for
+    # kneser-condition, also k binomials about as long)
     t0 = time.perf_counter()
     res = _run_cli("predict", *argv, timeout=10)
     assert time.perf_counter() - t0 < 1.0
@@ -526,12 +545,19 @@ def test_verify_single_theorem_quick(runner):
 
 
 def test_verify_grid_override(runner):
-    res = runner.invoke(
-        main, ["verify", "--theorem", "thm2.2", "--grid", '[{"n": 5}]', "--format", "json-lines"]
-    )
-    assert res.exit_code == 0
-    rec = json.loads(res.output.strip())
-    assert rec["computed"] == 6 and rec["verdict"] == "match"
+    # every point but the first also holds keys its theorem does not read, which are ignored
+    for theorem, point, computed in [
+        ("thm2.2", {"n": 5}, 6),
+        ("thm2.2", {"n": 5, "k": 9}, 6),
+        ("ekr", {"k": 2, "n": 5, "ns": [1]}, 4),
+        ("thm3.2", {"ns": [2, 3], "n": 0}, 3),
+    ]:
+        grid = json.dumps([point])
+        res = runner.invoke(main, ["verify", "--theorem", theorem, "--grid", grid, "--format", "json-lines"])
+        assert res.exit_code == 0
+        rec = json.loads(res.output.strip())
+        assert rec["computed"] == computed and rec["verdict"] == "match"
+        assert rec["params"] == point
 
 
 def test_verify_unknown_theorem_exits_2(runner):

@@ -62,6 +62,33 @@ def test_small_family_validation():
         ksubset_index(5, (3, 1))  # not sorted
 
 
+REFUSED = [
+    (complete, (2.5,), "complete(n) needs n >= 1, got 2.5"),
+    (complete, ("3",), "complete(n) needs n >= 1, got '3'"),
+    (complete, (True,), "complete(n) needs n >= 1, got True"),
+    (edgeless, (2.5,), "edgeless(n) needs n >= 1, got 2.5"),
+    (path, (2.5,), "path(n) needs n >= 1, got 2.5"),
+    (cycle, (4.5,), "cycle(n) needs n >= 3, got 4.5"),
+    (kneser, (5.5, 2), "kneser(n, k) needs n >= k >= 1, got n=5.5, k=2"),
+    (kneser, (5, 2.0), "kneser(n, k) needs n >= k >= 1, got n=5, k=2.0"),
+    # out-of-range integers keep their messages
+    (path, (0,), "path(n) needs n >= 1, got 0"),
+    (cycle, (2,), "cycle(n) needs n >= 3, got 2"),
+    (kneser, (2, 3), "kneser(n, k) needs n >= k >= 1, got n=2, k=3"),
+    (kneser, (5, 0), "kneser(n, k) needs n >= k >= 1, got n=5, k=0"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, args, message", REFUSED, ids=[f"{b.__name__}({', '.join(map(repr, a))})" for b, a, _ in REFUSED]
+)
+def test_constructors_refuse_what_is_not_an_integer_in_range(build, args, message):
+    # a float or a string once raised a bare TypeError from range, comb or <
+    with pytest.raises(InputError) as e:
+        build(*args)
+    assert str(e.value) == message
+
+
 @pytest.mark.parametrize(
     "build",
     [

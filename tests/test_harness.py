@@ -14,7 +14,7 @@ from genpos import (
     run_verify,
     theorem_ids,
 )
-from genpos.harness import load_grids
+from genpos.harness import FORMULAS, load_grids
 
 CSV_HEADER = "theorem,params,predicted,computed,status,verdict,ms"
 
@@ -37,6 +37,8 @@ def test_theorem_registry():
 def test_manifest_covers_every_theorem():
     grids = load_grids()
     assert sorted(grids) == theorem_ids()
+    # every theorem but thm4.1, whose prediction is a search, has its closed form in FORMULAS
+    assert sorted(FORMULAS) == [tid for tid in theorem_ids() if tid != "thm4.1"]
     for tid, entry in grids.items():
         assert isinstance(entry["quick"], list) and entry["quick"]
         assert isinstance(entry["stretch"], list) and entry["stretch"]
@@ -176,6 +178,12 @@ def test_malformed_grids():
         run_verify("thm2.2", [{"m": 4}])
     with pytest.raises(InputError):
         run_verify("thm3.2", [{"ns": 4}])
+    with pytest.raises(InputError):  # a float reaches the binomial bound before comb
+        run_verify("thm2.3", [{"n": 6.0, "k": 2}])
+    # a point missing a key its theorem reads
+    for theorem, point in [("thm2.3", {"n": 7}), ("ekr", {"k": 2}), ("thm3.2", {}), ("thm3.1", {"g": {"family": "path", "args": [2]}})]:
+        with pytest.raises(InputError, match=f"malformed grid point .* for {theorem}: "):
+            run_verify(theorem, [point])
 
 
 def test_grid_order_preserved():
