@@ -244,8 +244,24 @@ def distances(g: Graph) -> tuple[tuple[float, ...], ...]:
 
 
 def diameter(g: Graph) -> float:
-    """Max pairwise distance; INFINITY when g is disconnected; 0 when n <= 1."""
-    return max((max(row) for row in distances(g)), default=0)
+    """Max pairwise distance; INFINITY when g is disconnected; 0 when n <= 1.
+    One bitset BFS per source; the first source that misses a vertex ends it."""
+    nbits = [sum(1 << u for u in nbrs) for nbrs in g.adj]
+    diam = 0
+    for src in range(g.n):
+        ecc, seen, frontier = -1, 1 << src, 1 << src
+        while frontier:
+            ecc, reach = ecc + 1, 0
+            while frontier:
+                v = frontier.bit_length() - 1
+                frontier ^= 1 << v
+                reach |= nbits[v]
+            frontier = reach & ~seen
+            seen |= frontier
+        if seen.bit_count() < g.n:
+            return INFINITY
+        diam = max(diam, ecc)
+    return diam
 
 
 def complement(g: Graph) -> Graph:

@@ -53,13 +53,13 @@ search; when it runs out before the search starts, the result is the empty
 set with status "lower-bound".
 
 The search runs on an explicit stack, one list of frames, so its depth is
-not bounded by Python's recursion limit. The frame of chosen prefix S is
-[C, P, A, O]: its candidates C, the vertices not yet branched on that each
+not bounded by Python's recursion limit. The frame of chosen prefix S
+holds its candidates C, the vertices not yet branched on that each
 keep S plus itself free of forbidden triples (no subset of a set without
 one has one, so this pruning is lossless); a conflict table P: P_S[y], for
 y in C, is the OR over s in S of the masks of the pairs (y, s), the
 vertices z that some member of S makes a forbidden triple with y; the
-cells A of orbit pruning (below); and the tops O of its cover (below).
+cells A of orbit pruning (below); and the parts of its cover (below).
 Branching on x kills P_S[x]; the child's table is P_S[y] | mask(x, y) over
 the surviving candidates, one operation per candidate.
 
@@ -90,16 +90,14 @@ it fills in the child's table. A child whose cover fits is not opened: x's
 branch ends as if no candidate had survived, at the one site where a branch
 whose frame ran out ends, and no set in it beats the incumbent.
 
-A child whose cover does not fit opens with its tops O: the first, and so
-highest, vertex of each of its cliques, the two highest of each of its
-triples, plus every vertex left over as a clique of its own. A clique meets
-the tail {y in C : y >= x} exactly when its top is at least x, and a triple
-has min(2, its members >= x) tops at or above x, and a set inside the tail
-holds no more of it than that. A frame branches on its lowest candidate x first,
-so |S| + min(|C|, tops at or above x) bounds every set its remaining
-branches reach (MCQ's colour-order bound, from the one cover per child); a
-frame ends once that bound does not beat the incumbent. The root's O is
-every vertex.
+A child whose cover does not fit branches in MCQ's colour order: part by
+part, from the vertices left over (one more part, costing its size) back
+to the first part built, lowest vertex first inside a part. In part j, a
+set below it holds at most cost_j of part j's candidates and cost_i of
+each part i built before, so |S| + min(|C|, cum_j + min(cost_j, |part_j &
+C|)), cum_j the cost of the parts before j, bounds every set its remaining
+branches reach, and it drops with each part finished; a frame ends once it
+does not beat the incumbent. The root is one part holding every vertex.
 
 Orbit pruning. A graph built by a constructor may carry a ground-set action
 (:class:`~genpos.graph.GroundAction`): each vertex is one bitmask over a
@@ -150,9 +148,10 @@ component triples never violate.
 
 ω runs its own loop: a Tomita-style branch and bound over vertex bitsets
 with a greedy-colouring bound, on an explicit stack too; α is ω of the
-complement. Every search branches in descending-degree order (ties by id)
-and replaces its incumbent only on strict improvement, so an exact witness
-is reproducible. A spent budget ends the loop, and the best set so far
+complement. Every search labels the vertices in descending-degree order
+(ties by id), the gp loop's frames branching in their parts' order on those
+labels, and replaces its incumbent only on strict improvement, so an exact
+witness is reproducible. A spent budget ends the loop, and the best set so far
 returns with status "lower-bound"; no search raises for it. The ``method``
 of each :class:`~genpos.budget.GpResult` is "exact", "rho", "omega" or
 "alpha".
@@ -341,7 +340,7 @@ def _orbit(C: int, x: int, cells: list[int], M: list[int]) -> int:
 
 def _cover(
     C: int, P: list[int], bx: list[int], room: int, Q: list[int], blocked: list[list[int]], bits: list[int]
-) -> int:
+) -> list | None:
     """Greedy cover of C by cliques of its conflict graph, y and z
     conflicting when z is in P[y] | bx[y] (see the module docstring), and
     by forbidden triples, built from the highest vertex down. A clique costs
@@ -352,23 +351,22 @@ def _cover(
     instead, highest first, for a w left in blocked[y][z], and the first
     such {y, z, w} becomes a part.
 
-    Returns 0 when the cover fits in room. Otherwise it returns the tops O:
-    the highest member of each clique built, the two highest of each
-    triple, plus every vertex left over, each a clique of its own; then
-    Q[y] = P[y] | bx[y] for every y in C, the whole child table. spare
-    counts the vertices the parts must still hold beyond their cost for the
-    cover to fit.
+    Returns None when the cover fits in room. Otherwise it fills in the
+    child table, Q[y] = P[y] | bx[y] for every y in C, and returns the
+    child's frame but its cells (see :func:`_run_gp`), starts holding C as
+    each part started and last the vertices left over. spare counts the
+    vertices the parts must still hold beyond their cost for the cover to fit.
     """
     spare = C.bit_count() - room
     if spare <= 0:
-        return 0
-    O = 0
+        return None
+    cands, cost = C, room
+    starts = []
     while room:
+        starts.append(C)
         room -= 1
         y = C.bit_length() - 1
-        top = 1 << y
-        C ^= top
-        O |= top
+        C ^= 1 << y
         Q[y] = q = P[y] | bx[y]
         K = C & q
         if not K and room:
@@ -380,11 +378,10 @@ def _cover(
                 if W:
                     spare -= 1
                     if not spare:
-                        return 0
+                        return None
                     room -= 1
                     w = W.bit_length() - 1
                     C ^= 1 << z | 1 << w
-                    O |= 1 << max(z, w)
                     Q[z] = P[z] | bx[z]
                     Q[w] = P[w] | bx[w]
                     break
@@ -393,17 +390,28 @@ def _cover(
         while K:
             spare -= 1
             if not spare:
-                return 0
+                return None
             y = K.bit_length() - 1
             C ^= 1 << y
             Q[y] = q = P[y] | bx[y]
             K &= q
-    O |= C
+    starts.append(C)
+    frame = [cands, Q, None, starts, C, cost, cost + C.bit_count()]
     while C:  # it does not fit: fill in the vertices it has not taken
         y = C.bit_length() - 1
         C ^= 1 << y
         Q[y] = P[y] | bx[y]
-    return O
+    return frame
+
+
+def _prior_part(starts: list[int], P: list[int], lo: int) -> tuple[int, int, int]:
+    """Pop the current part's start and return the part built before it as
+    (mask, lo, hi): hi is the current part's lo, and lo is two less for a
+    triple (its top conflicts with neither other member), else one less."""
+    part = starts.pop() ^ starts[-1]
+    y = starts[-1].bit_length() - 1
+    rest = part ^ 1 << y
+    return part, lo - 2 if rest and not rest & P[y] else lo - 1, lo
 
 
 def _run_gp(
@@ -424,29 +432,29 @@ def _run_gp(
     best: list[int] = []
     best_size = 0
 
-    # Depth-first search on an explicit stack of frames [C, P, A, O], one per
-    # prefix chosen[:i]: C holds the candidates not yet branched on, each of
-    # which keeps chosen[:i] plus itself free of forbidden triples; P[y], for
-    # y in C, the vertices z that some s in chosen[:i] makes a forbidden
-    # triple with y; A the cells of the ground set that Stab(chosen[:i])
-    # permutes, or None when that stabilizer moves nothing (and so do all
-    # below it); O the tops of the frame's cover, so (O & -xbit).bit_count()
-    # bounds the vertices at or above x, the lowest in C, that a set below
-    # chosen[:i] may add. A branch on x ends at one site, reached when x's
-    # frame is exhausted or closed by that tail bound, or when the cover
-    # closes it before it opens; there x's whole orbit under its parent's
-    # stabilizer leaves the parent's C, unless the parent's tail bound is
-    # about to close it.
+    # Depth-first search on an explicit stack of frames [C, P, A, starts,
+    # part, lo, hi], one per prefix chosen[:i], with C, P and A as in the
+    # module docstring (A is None once Stab(chosen[:i]) moves nothing);
+    # starts the starts of the cover's parts up to the current one, part,
+    # whose lo is the cost of the parts before it and hi lo plus its own, so
+    # min(|C|, hi, lo + |part & C|) bounds the vertices a set below
+    # chosen[:i] may add. The root is one part, every vertex. A branch on x
+    # ends at one site, reached when x's frame is exhausted or closed by
+    # that tail bound, or when the cover closes it before it opens; there
+    # x's whole orbit under its parent's stabilizer leaves the parent's C,
+    # unless the parent's tail bound is about to close it.
     # len(chosen) never exceeds best_size.
     tick = clock.tick
     chosen: list[int] = []
-    frames = [[(1 << n) - 1, [0] * n, root, (1 << n) - 1]]
+    frames = [[(1 << n) - 1, [0] * n, root, [(1 << n) - 1], (1 << n) - 1, 0, n]]
     while frames:
-        C, P, A, O = frame = frames[-1]
+        C, P, A, starts, part, lo, hi = frame = frames[-1]
         if C and not tick():
             break
-        xbit = C & -C
-        if len(chosen) + min(C.bit_count(), (O & -xbit).bit_count()) > best_size:
+        while not (R := part & C) and len(starts) > 1:  # on to the part built before
+            frame[4:] = part, lo, hi = _prior_part(starts, P, lo)
+        if len(chosen) + min(C.bit_count(), hi, lo + R.bit_count()) > best_size:
+            xbit = R & -R
             C ^= xbit
             frame[0] = C
             x = xbit.bit_length() - 1
@@ -456,10 +464,11 @@ def _run_gp(
                 best = chosen.copy()
             newC = C & ~P[x]
             Q = P.copy()
-            tops = _cover(newC, P, blocked[x], best_size - len(chosen), Q, blocked, bits)
-            if tops:
+            child = _cover(newC, P, blocked[x], best_size - len(chosen), Q, blocked, bits)
+            if child:
                 # some set below chosen may beat the incumbent: open the child
-                frames.append([newC, Q, A and _refine(A, xs[x], ground), tops])
+                child[2] = A and _refine(A, xs[x], ground)
+                frames.append(child)
                 continue
             # no set below chosen beats the incumbent: x's branch is done
         else:
@@ -467,9 +476,9 @@ def _run_gp(
             frames.pop()
             if not frames:
                 break
-            C, _, A, O = frame = frames[-1]
+            C, _, A, _, part, lo, hi = frame = frames[-1]
         x = chosen.pop()
-        if A is not None and len(chosen) + min(C.bit_count(), (O & -(C & -C)).bit_count()) > best_size:
+        if A is not None and len(chosen) + min(C.bit_count(), hi, lo + (part & C).bit_count()) > best_size:
             frame[0] = C & ~_orbit(C, xs[x], A, M)
     return best_size, _to_original(best, order)
 

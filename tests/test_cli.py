@@ -148,6 +148,7 @@ _K1000_SQUARED = json.dumps({"family": "cartesian_product", "args": [{"family": 
         ["construct", "kneser", "9" * 2200, "3"],
         ["construct", "complete", "300000"],
         ["construct", "edgeless", "300000"],
+        ["construct", "edgeless", "100000"],
     ],
     ids=[
         "path",
@@ -159,12 +160,14 @@ _K1000_SQUARED = json.dumps({"family": "cartesian_product", "args": [{"family": 
         "kneser-order",
         "complete",
         "edgeless",
+        "edgeless-graph6",
     ],
 )
 def test_huge_order_exits_2_before_anything_is_built(argv):
     # a real process under a 600 MB address-space limit: building any of
-    # these graphs would raise a MemoryError, and printing C(30000, 9999) or
-    # C(n, 3) here would pass Python's digit limit
+    # these graphs, or E_100000's graph6 string, would raise a MemoryError,
+    # and printing C(30000, 9999) or C(n, 3) here would pass Python's digit
+    # limit
     _assert_one_error_line(_run_cli(*argv, memory_kib=600_000, timeout=10))
 
 

@@ -1,7 +1,8 @@
 import math
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from genpos import (
     Graph,
@@ -151,6 +152,17 @@ def test_distances_match_floyd_warshall(g):
 )
 def test_diameter(g, expected):
     assert diameter(g) == expected
+
+
+@settings(max_examples=100)
+@given(st.one_of(graphs(max_n=12), st.builds(disjoint_union, graphs(max_n=6), graphs(min_n=1, max_n=6))))
+@example(Graph.from_edges(0, []))
+@example(Graph.from_edges(1, []))
+@example(Graph.from_edges(5, []))
+def test_diameter_is_the_largest_distance(g):
+    # the bitset BFS against the rows of distances(), on random, disconnected
+    # and empty graphs
+    assert diameter(g) == max((max(row) for row in distances(g)), default=0)
 
 
 def test_complement_involution():

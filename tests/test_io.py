@@ -236,6 +236,12 @@ def test_encode_rejects_huge_order():
         Graph(1 << 18, tuple(frozenset() for _ in range(1 << 18)))
 
 
+def test_encode_refuses_past_the_graph6_pair_limit():
+    # 8193 * 8192 / 2 vertex pairs is past 2^25; 8192 * 8191 / 2 is not
+    with pytest.raises(InputError, match="8192 vertices; write sidecar JSON"):
+        encode_graph6(edgeless(8193))
+
+
 def test_json_order_limit(tmp_path):
     p = tmp_path / "big.json"
     p.write_text('{"n": 262144}')

@@ -36,7 +36,7 @@ from genpos import (
     rho,
 )
 from genpos.budget import SearchClock
-from genpos.solver import _conflict_masks, _cover, _degree_order, _p3_masks
+from genpos.solver import _conflict_masks, _cover, _degree_order, _p3_masks, _prior_part
 
 import corpus
 import oracles
@@ -112,15 +112,17 @@ def test_empty_graph():
 @pytest.mark.parametrize(
     "g,value,nodes",
     [
-        pytest.param(corpus.action_free(kneser(7, 3)), 15, 307, id="K(7,3)-action-free"),  # 403; 838; 6,569
-        pytest.param(cartesian_product(cycle(6), cycle(6)), 6, 368, id="C6xC6"),  # 368; 799; 8,850
-        pytest.param(corona(cycle(10), path(4)), 30, 5219, id="corona(C10,P4)"),  # 51,677
+        pytest.param(corpus.action_free(kneser(7, 3)), 15, 240, id="K(7,3)-action-free"),  # 307; 403; 838; 6,569
+        pytest.param(cartesian_product(cycle(6), cycle(6)), 6, 267, id="C6xC6"),  # 368; 368; 799; 8,850
+        pytest.param(corona(cycle(10), path(4)), 30, 1477, id="corona(C10,P4)"),  # 5,219; 51,677
     ],
 )
 def test_node_counts_pinned(g, value, nodes):
     # any change to the search tree (order, bound, masks) moves these counts;
-    # the comments give them before the cover's triple parts, before the
-    # frames' tail bound, then with |chosen| + |candidates| as the only bound
+    # the comments give them before frames branched in their cover's part
+    # order (in vertex-id order), before the cover's triple parts, before
+    # the frames' tail bound, then with |chosen| + |candidates| as the only
+    # bound
     res = gp_exact(g)
     assert (res.value, res.status, res.nodes_explored) == (value, EXACT, nodes)
 
@@ -128,16 +130,17 @@ def test_node_counts_pinned(g, value, nodes):
 @pytest.mark.parametrize(
     "g,value,nodes",
     [
-        pytest.param(kneser(8, 3), 21, 314, id="K(8,3)"),  # 906; 1,272; 47,963; 1,419,313
-        pytest.param(line_graph(complete(12)), 12, 103, id="L(K12)"),  # 104; 114; 1,529,860; 13,919,095
-        pytest.param(cartesian_product(complete(7), complete(7)), 12, 160, id="K7xK7"),  # 192; 192; 375,607; 3,982,281
-        pytest.param(reduce(cartesian_product, [path(2)] * 6), 8, 1099, id="Q6-from-P2"),  # 7,189 before products read completeness
+        pytest.param(kneser(8, 3), 21, 315, id="K(8,3)"),  # 314; 906; 1,272; 47,963; 1,419,313
+        pytest.param(line_graph(complete(12)), 12, 98, id="L(K12)"),  # 103; 104; 114; 1,529,860; 13,919,095
+        pytest.param(cartesian_product(complete(7), complete(7)), 12, 127, id="K7xK7"),  # 160; 192; 192; 375,607; 3,982,281
+        pytest.param(reduce(cartesian_product, [path(2)] * 6), 8, 584, id="Q6-from-P2"),  # 1,099 in vertex-id order; 7,189 before products read completeness
     ],
 )
 def test_pruned_node_counts_pinned(g, value, nodes):
     # the orbit pruning's tree: any change to the cells or the orbits moves
-    # these; the comments give them before the cover's triple parts, then
-    # before the frames' tail bound: with the action, without it, and
+    # these; the comments give them with frames branched in vertex-id order
+    # instead of their cover's part order, before the cover's triple parts,
+    # then before the frames' tail bound: with the action, without it, and
     # without it with |chosen| + |candidates| as the only bound
     res = gp_exact(g)
     assert (res.value, res.status, res.nodes_explored) == (value, EXACT, nodes)
@@ -168,9 +171,10 @@ def test_witnesses_pinned(g, witness):
 
 def test_kneser_9_4_exact():
     # no closed form covers K(9,4) (n < 3k - 1); the pruned search settles it,
-    # in 26,124 nodes without the frames' tail bound
+    # in 5,185 nodes with frames branched in vertex-id order and 26,124
+    # without the frames' tail bound
     res = gp_exact(kneser(9, 4))
-    assert (res.value, res.status, res.nodes_explored) == (26, EXACT, 5185)
+    assert (res.value, res.status, res.nodes_explored) == (26, EXACT, 2239)
     assert res.witness == (
         0, 1, 2, 3, 4, 5, 36, 37, 38, 39, 52, 53, 54, 55,
         75, 76, 77, 84, 85, 86, 98, 99, 100, 101, 102, 103,
@@ -268,11 +272,14 @@ def test_p3_masks_match_definition(g):
 def _check_cover(g, rnd, masks, ok):
     # for sets S with no forbidden triple (ok) and the vertices C that each
     # keep S so, the cover never fits in less room than the largest T with
-    # ok(T) and S <= T <= S + C needs beyond S; and when it does not fit,
-    # its tops at or above each x in C are at least as many as the largest
-    # such T needs inside the y >= x of C, the tail bound of the child's
-    # frame. The table is built as the search keeps it, with S's last vertex
-    # x split off; T comes from enumeration. Internal vertex i is order[i].
+    # ok(T) and S <= T <= S + C needs beyond S. When it does not fit, it
+    # returns the child's frame: C, the whole table, and starts that split C
+    # into parts. The child branches on its parts last first, lowest vertex
+    # first inside a part; at each position of that order, the frame's tail
+    # bound min(|U|, hi, lo + |part & U|) must be at least what the largest
+    # such T needs inside U, the candidates not yet branched on. The table
+    # is built as the search keeps it, with S's last vertex x split off; T
+    # comes from enumeration. Internal vertex i is order[i].
     n = g.n
     bits, order = _degree_order(g)
     blocked = masks(bits, SearchClock())
@@ -282,26 +289,42 @@ def _check_cover(g, rnd, masks, ok):
             if ok(S + [v]):
                 S.append(v)
         C = [v for v in range(n) if v not in S and ok(S + [v])]
-        need = len(oracles.largest_extension(ok, S, C)) - len(S)
         P, bx = [0] * n, [0] * n
         if S:
             *rest, x = S
             bx = blocked[x]
             for s in rest:
                 P = [p | b for p, b in zip(P, blocked[s])]
-        tail_need = {x: len(oracles.largest_extension(ok, S, [y for y in C if y >= x])) - len(S) for x in C}
+        needs = {}
+
+        def need(U):
+            if U not in needs:
+                inside = [y for y in C if U >> y & 1]
+                needs[U] = len(oracles.largest_extension(ok, S, inside)) - len(S)
+            return needs[U]
+
         mask = sum(1 << v for v in C)
         for room in range(len(C) + 1):
             Q = [None] * n
-            tops = _cover(mask, P, bx, room, Q, blocked, bits)
+            child = _cover(mask, P, bx, room, Q, blocked, bits)
             if room == len(C):
-                assert tops == 0, S
-            if not tops:
-                assert room >= need, (S, room)
+                assert child is None, S
+            if child is None:
+                assert room >= need(mask), (S, room)
                 continue
-            # the child opens with its whole table and the tops of its cover
+            U, table, _, starts, part, lo, hi = child
+            assert (U, table) == (mask, Q), (S, room)
             assert all(Q[y] == P[y] | bx[y] for y in C), (S, room)
-            assert all((tops >> x).bit_count() >= tail_need[x] for x in C), (S, room)
+            # each part starts inside the one before it: the parts split C
+            assert starts[0] == mask and all(t & ~s == 0 for s, t in zip(starts, starts[1:])), (S, room)
+            while U:
+                R = part & U
+                while not R and len(starts) > 1:
+                    part, lo, hi = _prior_part(starts, table, lo)
+                    R = part & U
+                assert R, (S, room)
+                assert min(U.bit_count(), hi, lo + R.bit_count()) >= need(U), (S, room, U)
+                U ^= R & -R
 
 
 @settings(max_examples=150, deadline=None)

@@ -271,6 +271,9 @@ ILP_GRAPHS = SYMMETRIC + [
     ("corona(C10,P4)", corona(cycle(10), path(4))),
     ("G(30,0.2)", corpus.connected_random(30, 0.2, 30)),
     ("G(36,0.15)", corpus.connected_random(36, 0.15, 36)),
+    # the shapes the benchmark times: its diam2 references come from gp_exact
+    ("G(40,0.5)", corpus.connected_random(40, 0.5, 1)),  # diameter 2
+    ("G(40,0.2)", corpus.connected_random(40, 0.2, 2)),
 ]
 
 
