@@ -59,6 +59,19 @@ def _check_count(n) -> None:
             raise InputError(f"{rule} {n!r}")
 
 
+# the order limit of the gp and ρ searches, whose conflict table holds about
+# n² masks of up to n bits. Measured under a 600,000 KiB address-space limit:
+# gp on P_1900 and on G(1700, 1/2) and ρ on G(1400, 1/2) fit, at 549, 506
+# and 545 MB of peak RSS, while gp on P_2000 and ρ on G(1500, 1/2) raise
+# MemoryError. At 1,200 the largest peak measured is 414 MB (ρ on G(1200, 0.9)).
+MAX_SEARCH_N = 1200
+
+
+def _check_search_order(n: int) -> None:
+    if n > MAX_SEARCH_N:
+        raise InputError(f"gp and rho search graphs of at most {MAX_SEARCH_N} vertices, got {n}")
+
+
 def vertex_set(members: Iterable[int], n: int | None = None) -> VertexSet:
     """Canonicalize ``members``, vertex ids in ``[0, n)`` when ``n`` is
     given, into a sorted, duplicate-free tuple."""

@@ -25,7 +25,10 @@ non-adjacency is transitive on S), with a single part counted as complete
 multipartite, as in the k=1 case of the product proofs; so η = ρ ≥ ω, and
 ``eta`` is ``rho``, one function with method "rho". ρ inherits the loop's
 cover bound, orbit pruning (automorphisms keep induced P3s) and n × n mask
-table, so it takes O(n²) memory.
+table. That table holds about n² masks of up to n bits, so both searches
+refuse an order past :data:`~genpos.graph.MAX_SEARCH_N` (1,200), whose
+comment gives the measurement behind it, with an InputError before any
+table is built.
 
 The conflict masks are built from geodesic intervals, with no distance
 matrix. A bitset BFS from each source a gives L_a[k], the vertices at
@@ -37,11 +40,13 @@ level further from a. A vertex y is collinear with a and b exactly when it
 lies between them (in I_a[b]), beyond b (in F_a[b]) or beyond a (in F_b[a]),
 so mask(a, b) is I_a[b] | F_a[b] | F_b[a] without a and b. The base levels
 have closed forms: I_a[v] is {a, v} on level 1 and {a, v} plus N(v) & L_a[1]
-on level 2, and F_a[v] is {v} plus N(v) & L_a[k+1] on the last two levels k,
-so a source of eccentricity at most 2, and so every source of a diameter-2
-graph, ORs no neighbour's table at all. Each source takes one pass: its BFS,
-I away from a, then F back towards a, each vertex's part I_a[v] | F_a[v]
-being ORed into the table as soon as F_a[v] is made. A pass costs O(n + m)
+on level 2, and F_a[v] is {v} plus N(v) & L_a[k+1] on the last two levels k.
+So a source whose BFS ends by level 2, and so every source of a diameter-2
+graph, builds neither table: v's part below is N(v) & L_a[2] on level 1 and
+N(v) & L_a[1] on level 2, one AND per vertex its BFS reached. Any other
+source takes one pass: its BFS, I away from a, then F back towards a, each
+vertex's part I_a[v] | F_a[v] without a and v being ORed into the table as
+soon as F_a[v] is made. A pass costs O(n + m)
 big-int operations, so the whole precompute is O(n * m) where pairwise level
 zips cost O(n^2 * diam). The two passes of a and b build one int object,
 which blocked[a][b] and blocked[b][a] share, so the table holds one mask per
@@ -66,38 +71,47 @@ the surviving candidates, one operation per candidate.
 Two candidates y and z conflict below S when z is in P_S[y]. A set T with no
 forbidden triple that extends S inside S + C holds no conflicting pair, so
 it holds at most one vertex of each clique of the conflict graph, and at
-most two of each forbidden triple; so |S| plus the cost of any partition
-of C into such parts, one per clique and two per triple, bounds |T|. With
-cliques alone this is the colouring bound of maximum-clique search (Tomita
-& Seki, DMTCS 2003) on the conflict graph's complement. The triples see
-what pair conflicts cannot: on a P4 copy of a corona with none of its
-vertices chosen no two candidates conflict, yet its triples let a set hold
-only 3 of its 4. The cover is greedy: each clique starts at the highest
-vertex y left and absorbs, highest first, the vertices left that conflict
-with every vertex taken so far. When y conflicts with no vertex left, its
-clique would be a singleton; then, while two units of room are left, the
-cover scans y's neighbours z left, highest first, for a third vertex w left
-in mask(y, z), and makes the first such {y, z, w} a part. Only neighbours
-are scanned: every induced P3 through y holds a neighbour of y, so for ρ no
-triple is missed, while a collinear triple with no neighbour of y is, which
-only weakens the bound (scanning all of C costs more than it saves: inside
-a partial star of K(n,3) every scan fails after |C| steps). The cover is
-built for each child, with room the number of vertices the child may add
-before it only ties the incumbent, and it stops as soon as the answer is
-known: once its parts hold |C| - room vertices beyond their cost (it
-fits), or once room is spent with vertices still left (it does not); then
-it fills in the child's table. A child whose cover fits is not opened: x's
-branch ends as if no candidate had survived, at the one site where a branch
-whose frame ran out ends, and no set in it beats the incumbent.
+most two of each at-most-two part: a set in which every three members hold a
+forbidden triple or a conflicting pair, such as a forbidden triple. So |S|
+plus the cost of any partition of C into such parts, one per clique and two
+per at-most-two part, bounds |T|. With cliques alone this is the colouring
+bound of maximum-clique search (Tomita & Seki, DMTCS 2003) on the conflict
+graph's complement. The triples see what pair conflicts cannot: on a P4 copy
+of a corona with none of its vertices chosen no two candidates conflict, yet
+its triples let a set hold only 3 of its 4. The cover is greedy: each clique
+starts at the highest vertex y left and absorbs, highest first, the vertices
+left that conflict with every vertex taken so far. When y conflicts with no
+vertex left, its clique would be a singleton; then, while two units of room
+are left, the cover scans y's neighbours z left, highest first, for a third
+vertex w left in mask(y, z), and seeds a part with the first such {y, z, w}.
+The part then grows, highest vertex first: a vertex u left joins when, for
+every pair p, q already in it, u is in mask(p, q) or conflicts with p or
+with q. Every three members then hold a forbidden triple or a conflicting
+pair (the last of them to join meets the test with the other two), so the
+part still costs two however many join, and y conflicts with none of them.
+Only neighbours are scanned for the seed: every induced P3 through y holds a
+neighbour of y, so for ρ no seed is missed, while a collinear triple with no
+neighbour of y is, which only weakens the bound (scanning all of C costs
+more than it saves: inside a partial star of K(n,3) every scan fails after
+|C| steps). The cover is built for each child, with room the number of
+vertices the child may add before it only ties the incumbent, and it stops
+as soon as the answer is known: once its parts hold |C| - room vertices
+beyond their cost (it fits), or once room is spent with vertices still left
+(it does not); then it fills in the child's table. A child whose cover fits
+is not opened: x's branch ends as if no candidate had survived, at the one
+site where a branch whose frame ran out ends, and no set in it beats the
+incumbent.
 
 A child whose cover does not fit branches in MCQ's colour order: part by
-part, from the vertices left over (one more part, costing its size) back
-to the first part built, lowest vertex first inside a part. In part j, a
-set below it holds at most cost_j of part j's candidates and cost_i of
-each part i built before, so |S| + min(|C|, cum_j + min(cost_j, |part_j &
-C|)), cum_j the cost of the parts before j, bounds every set its remaining
-branches reach, and it drops with each part finished; a frame ends once it
-does not beat the incumbent. The root is one part holding every vertex.
+part, from the vertices left over (one more part, costing its size) back to
+the first part built, lowest vertex first inside a part. A part's cost is
+one for a clique and two for an at-most-two part, a part of three or more
+whose top conflicts with no other member. In part j, a set below it holds at
+most cost_j of part j's candidates and cost_i of each part i built before,
+so |S| + min(|C|, cum_j + min(cost_j, |part_j & C|)), cum_j the cost of the
+parts before j, bounds every set its remaining branches reach, and it drops
+with each part finished; a frame ends once it does not beat the incumbent.
+The root is one part holding every vertex.
 
 Orbit pruning. A graph built by a constructor may carry a ground-set action
 (:class:`~genpos.graph.GroundAction`): each vertex is one bitmask over a
@@ -163,7 +177,7 @@ from collections.abc import Callable
 from itertools import accumulate
 
 from .budget import Budget, GpResult, SearchClock
-from .graph import Graph, GroundAction, VertexSet, complement
+from .graph import Graph, GroundAction, VertexSet, _check_search_order, complement
 
 
 def _iter_bits(mask: int):
@@ -211,7 +225,10 @@ def _conflict_masks(bits: list[int], clock: SearchClock) -> list[list[int]] | No
     I[v] = {a, v} | (N(v) & L[k-1]) for k <= 2, and F[v] = {v} |
     (N(v) & L[k+1]) on the last two levels. As soon as F[v] is made, v's
     part I[v] | F[v] without a and v (the y between a and v, or beyond v)
-    is ORed into the pair's mask; v's own pass adds the y beyond a.
+    is ORed into the pair's mask; v's own pass adds the y beyond a. A source
+    whose BFS ends by level 2 builds neither table: there both closed forms
+    hold on every level, so v's part is N(v) & L[2] on level 1 and
+    N(v) & L[1] on level 2.
     """
     n = len(bits)
     one = [1 << v for v in range(n)]
@@ -238,6 +255,19 @@ def _conflict_masks(bits: list[int], clock: SearchClock) -> list[list[int]] | No
             frontier = nxt & ~seen
             seen |= frontier
         last = len(L) - 1
+        row = blocked[a]
+
+        if last <= 2:  # shallow: the closed forms hold on every level
+            L.append(0)  # an empty level 2 when last is 1
+            for k in range(1, last + 1):
+                other = L[3 - k]
+                for v in ids[k]:
+                    part = bits[v] & other
+                    if v > a:
+                        row[v] = part
+                    else:
+                        blocked[v][a] = row[v] = blocked[v][a] | part
+            continue
 
         for k in range(1, last + 1):  # I, away from a
             near = L[k - 1]
@@ -253,7 +283,6 @@ def _conflict_masks(bits: list[int], clock: SearchClock) -> list[list[int]] | No
                     m |= I[u]
                 I[v] = m
 
-        row = blocked[a]
         far = 0
         for k in range(last, 0, -1):  # F, back towards a, each part folded in
             for v in ids[k]:
@@ -343,13 +372,16 @@ def _cover(
 ) -> list | None:
     """Greedy cover of C by cliques of its conflict graph, y and z
     conflicting when z is in P[y] | bx[y] (see the module docstring), and
-    by forbidden triples, built from the highest vertex down. A clique costs
-    one unit of room and a triple two.
+    by at-most-two parts, built from the highest vertex down. A clique costs
+    one unit of room and an at-most-two part two.
 
     A clique whose top y conflicts with no vertex left would be a singleton;
     while two units of room are left, y's neighbours z left in C are scanned
     instead, highest first, for a w left in blocked[y][z], and the first
-    such {y, z, w} becomes a part.
+    such {y, z, w} seeds a part. It grows highest first: u joins when every
+    pair p, q in it has u in blocked[p][q] | Q[p] | Q[q]. Each pair's term
+    reads only its own two members' tables; Q[y] meets nothing left, so the
+    pairs with y test blocked[y][q] | Q[q].
 
     Returns None when the cover fits in room. Otherwise it fills in the
     child table, Q[y] = P[y] | bx[y] for every y in C, and returns the
@@ -382,8 +414,24 @@ def _cover(
                     room -= 1
                     w = W.bit_length() - 1
                     C ^= 1 << z | 1 << w
-                    Q[z] = P[z] | bx[z]
-                    Q[w] = P[w] | bx[w]
+                    Q[z] = qz = P[z] | bx[z]
+                    Q[w] = qw = P[w] | bx[w]
+                    # grow the part, each pair's term from its own two members
+                    K = C & (row[z] | qz)
+                    if K:
+                        K &= (row[w] | qw) & (blocked[z][w] | qz | qw)
+                    members = [z, w]
+                    while K:
+                        spare -= 1
+                        if not spare:
+                            return None
+                        u = K.bit_length() - 1
+                        C ^= 1 << u
+                        Q[u] = qu = P[u] | bx[u]
+                        K &= C & (row[u] | qu)
+                        for p in members:
+                            K &= blocked[p][u] | Q[p] | qu
+                        members.append(u)
                     break
                 N ^= 1 << z
             continue
@@ -406,8 +454,9 @@ def _cover(
 
 def _prior_part(starts: list[int], P: list[int], lo: int) -> tuple[int, int, int]:
     """Pop the current part's start and return the part built before it as
-    (mask, lo, hi): hi is the current part's lo, and lo is two less for a
-    triple (its top conflicts with neither other member), else one less."""
+    (mask, lo, hi): hi is the current part's lo, and lo is two less for an
+    at-most-two part (at least three vertices, its top conflicting with no
+    other), else one less."""
     part = starts.pop() ^ starts[-1]
     y = starts[-1].bit_length() - 1
     rest = part ^ 1 << y
@@ -419,8 +468,11 @@ def _run_gp(
 ) -> tuple[int, VertexSet]:
     """Largest vertex set with no forbidden triple. masks(bits, clock) gives
     blocked[a][b], the bitmask of the y with {a, b, y} forbidden, on the
-    internal ids, or None once the deadline passes."""
+    internal ids, or None once the deadline passes. An order past
+    :data:`~genpos.graph.MAX_SEARCH_N` raises InputError before any table
+    is built."""
     n = g.n
+    _check_search_order(n)
     bits, order = _degree_order(g)
     xs = M = root = None
     ground = 0

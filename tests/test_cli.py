@@ -178,6 +178,16 @@ def test_huge_declared_order_exits_2_before_anything_is_built(tmp_path):
     _assert_one_error_line(_run_cli("gp", "--graph", str(p), memory_kib=600_000, timeout=10))
 
 
+@pytest.mark.parametrize("edges", [[], [[v, v + 1] for v in range(29999)]], ids=["edgeless", "path"])
+@pytest.mark.parametrize("argv", [["gp"], ["invariant", "--which", "rho"]], ids=["gp", "rho"])
+def test_search_past_its_order_limit_exits_2(tmp_path, argv, edges):
+    # E_30000 and P_30000 fit in memory under this limit, their n x n
+    # conflict tables would not: both searches refuse them before building one
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"n": 30000, "edges": edges}))
+    _assert_one_error_line(_run_cli(*argv, "--graph", str(p), memory_kib=600_000, timeout=10))
+
+
 def test_edgeless_inside_the_order_limit_fits_in_memory():
     # E_n carries no action, so nothing lists a point per vertex (about n²/16 bytes)
     res = _run_cli("construct", "edgeless", "100000", "--format", "json", memory_kib=600_000, timeout=10)

@@ -36,6 +36,7 @@ from genpos import (
     rho,
 )
 from genpos.budget import SearchClock
+from genpos.graph import MAX_SEARCH_N
 from genpos.solver import _conflict_masks, _cover, _degree_order, _p3_masks, _prior_part
 
 import corpus
@@ -112,17 +113,17 @@ def test_empty_graph():
 @pytest.mark.parametrize(
     "g,value,nodes",
     [
-        pytest.param(corpus.action_free(kneser(7, 3)), 15, 240, id="K(7,3)-action-free"),  # 307; 403; 838; 6,569
-        pytest.param(cartesian_product(cycle(6), cycle(6)), 6, 267, id="C6xC6"),  # 368; 368; 799; 8,850
-        pytest.param(corona(cycle(10), path(4)), 30, 1477, id="corona(C10,P4)"),  # 5,219; 51,677
+        pytest.param(corpus.action_free(kneser(7, 3)), 15, 226, id="K(7,3)-action-free"),  # 240; 307; 403; 838; 6,569
+        pytest.param(cartesian_product(cycle(6), cycle(6)), 6, 267, id="C6xC6"),  # 267; 368; 368; 799; 8,850
+        pytest.param(corona(cycle(10), path(4)), 30, 1477, id="corona(C10,P4)"),  # 1,477; 5,219; 51,677
     ],
 )
 def test_node_counts_pinned(g, value, nodes):
     # any change to the search tree (order, bound, masks) moves these counts;
-    # the comments give them before frames branched in their cover's part
-    # order (in vertex-id order), before the cover's triple parts, before
-    # the frames' tail bound, then with |chosen| + |candidates| as the only
-    # bound
+    # the comments give them before the cover grew its triples into larger
+    # parts, before frames branched in their cover's part order (in
+    # vertex-id order), before the cover's triple parts, before the frames'
+    # tail bound, then with |chosen| + |candidates| as the only bound
     res = gp_exact(g)
     assert (res.value, res.status, res.nodes_explored) == (value, EXACT, nodes)
 
@@ -130,18 +131,19 @@ def test_node_counts_pinned(g, value, nodes):
 @pytest.mark.parametrize(
     "g,value,nodes",
     [
-        pytest.param(kneser(8, 3), 21, 315, id="K(8,3)"),  # 314; 906; 1,272; 47,963; 1,419,313
-        pytest.param(line_graph(complete(12)), 12, 98, id="L(K12)"),  # 103; 104; 114; 1,529,860; 13,919,095
-        pytest.param(cartesian_product(complete(7), complete(7)), 12, 127, id="K7xK7"),  # 160; 192; 192; 375,607; 3,982,281
-        pytest.param(reduce(cartesian_product, [path(2)] * 6), 8, 584, id="Q6-from-P2"),  # 1,099 in vertex-id order; 7,189 before products read completeness
+        pytest.param(kneser(8, 3), 21, 174, id="K(8,3)"),  # 315; 314; 906; 1,272; 47,963; 1,419,313
+        pytest.param(line_graph(complete(12)), 12, 93, id="L(K12)"),  # 98; 103; 104; 114; 1,529,860; 13,919,095
+        pytest.param(cartesian_product(complete(7), complete(7)), 12, 118, id="K7xK7"),  # 127; 160; 192; 192; 375,607; 3,982,281
+        pytest.param(reduce(cartesian_product, [path(2)] * 6), 8, 584, id="Q6-from-P2"),  # 584; 1,099 in vertex-id order; 7,189 before products read completeness
     ],
 )
 def test_pruned_node_counts_pinned(g, value, nodes):
     # the orbit pruning's tree: any change to the cells or the orbits moves
-    # these; the comments give them with frames branched in vertex-id order
-    # instead of their cover's part order, before the cover's triple parts,
-    # then before the frames' tail bound: with the action, without it, and
-    # without it with |chosen| + |candidates| as the only bound
+    # these; the comments give them before the cover grew its triples into
+    # larger parts, with frames branched in vertex-id order instead of their
+    # cover's part order, before the cover's triple parts, then before the
+    # frames' tail bound: with the action, without it, and without it with
+    # |chosen| + |candidates| as the only bound
     res = gp_exact(g)
     assert (res.value, res.status, res.nodes_explored) == (value, EXACT, nodes)
 
@@ -182,6 +184,27 @@ def test_kneser_9_4_exact():
     assert is_general_position(distances(kneser(9, 4)), res.witness)
 
 
+@pytest.mark.parametrize(
+    "n,nodes",
+    [(11, 294), pytest.param(15, 691, marks=pytest.mark.stretch)],
+    ids=["K(11,3)", "K(15,3)"],
+)
+def test_kneser3_node_counts_pinned(n, nodes):
+    # thm2.4's C(n-1, 2); the cover's grown triple parts cut these trees
+    # most: 1,128 and 12,893 nodes before them
+    res = gp_exact(kneser(n, 3))
+    assert (res.value, res.status, res.nodes_explored) == (comb(n - 1, 2), EXACT, nodes)
+
+
+def test_one_order_limit_for_the_mask_searches():
+    # checked before any table is built; an order at the limit is searched
+    n = MAX_SEARCH_N
+    for search in (gp_exact, rho):
+        assert search(edgeless(n), Budget(max_nodes=0)).status == LOWER_BOUND
+        with pytest.raises(InputError, match=f"at most {n} vertices"):
+            search(path(n + 1))
+
+
 def test_deep_search_on_isolated_vertices():
     # the search descends one level per chosen vertex: 1100 levels
     res = gp_exact(edgeless(1100))
@@ -208,9 +231,15 @@ def test_deep_search_on_large_clique():
 @example(cartesian_product(path(3), path(4)))
 @example(corona(cycle(4), path(2)))
 @example(disjoint_union(path(6), cycle(6)))
+@example(disjoint_union(kneser(5, 2), path(5)))
+@example(join(edgeless(6), complete(1)))
+@example(complete(1))
 def test_conflict_masks_match_definition(g):
     # level-built masks, on the bits the search uses, against a triple scan
-    # of the distance matrix; internal vertex i is order[i]
+    # of the distance matrix; internal vertex i is order[i]. Sources of
+    # eccentricity at most 2 take the closed forms and deeper ones the
+    # interval passes, so the examples mix both in one graph: a diameter-2
+    # component beside a path, a star, K_1 and an edgeless graph
     d = distances(g)
     bits, order = _degree_order(g)
     blocked = _conflict_masks(bits, SearchClock())
@@ -330,8 +359,11 @@ def _check_cover(g, rnd, masks, ok):
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=10), st.randoms(use_true_random=False))
 @example(path(9), random.Random(0))
+@example(kneser(6, 2), random.Random(7))
+@example(corona(cycle(4), path(2)), random.Random(0))
 def test_clique_cover_bounds_every_extension(g, rnd):
-    # gp's cover, against general position sets over Floyd-Warshall distances
+    # gp's cover, against general position sets over Floyd-Warshall distances;
+    # in the last two examples a triple grows into a part of 4 vertices
     _, order = _degree_order(g)
     d = oracles.dist_matrix(g.n, list(g.edges()))
     d = [[d[i][j] for j in order] for i in order]
@@ -341,8 +373,10 @@ def test_clique_cover_bounds_every_extension(g, rnd):
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=10), st.randoms(use_true_random=False))
 @example(path(9), random.Random(0))
+@example(kneser(6, 2), random.Random(7))
 def test_cover_bounds_every_cluster_extension(g, rnd):
-    # rho's cover, on the induced-P3 masks, against cluster sets
+    # rho's cover, on the induced-P3 masks, against cluster sets; in the last
+    # example a triple grows into a part of 4 vertices
     _, order = _degree_order(g)
     edges = {frozenset(e) for e in g.edges()}
     a = [[frozenset((i, j)) in edges for j in order] for i in order]
