@@ -59,11 +59,11 @@ def _check_count(n) -> None:
             raise InputError(f"{rule} {n!r}")
 
 
-# the order limit of the gp and ρ searches, whose conflict table holds about
-# n² masks of up to n bits. Measured under a 600,000 KiB address-space limit:
-# gp on P_1900 and on G(1700, 1/2) and ρ on G(1400, 1/2) fit, at 549, 506
-# and 545 MB of peak RSS, while gp on P_2000 and ρ on G(1500, 1/2) raise
-# MemoryError. At 1,200 the largest peak measured is 414 MB (ρ on G(1200, 0.9)).
+# the order limit of the gp and ρ searches, whose mask table holds one mask of
+# up to n bits per unordered pair. Under a 600,000 KiB address-space limit gp
+# on P_1900 and ρ on G(1700, 1/2) fit (549 and 484 MB peak RSS) and gp on
+# P_2000 raises MemoryError. At 1,200 the peaks are 160 MB (gp, P_1200), 226 MB
+# (gp and ρ, G(1200, 1/2)) and 263 MB (ρ, G(1200, 0.9)), the largest measured.
 MAX_SEARCH_N = 1200
 
 

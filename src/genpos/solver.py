@@ -24,11 +24,11 @@ complement. Both are the largest S with G[S] a disjoint union of cliques
 non-adjacency is transitive on S), with a single part counted as complete
 multipartite, as in the k=1 case of the product proofs; so η = ρ ≥ ω, and
 ``eta`` is ``rho``, one function with method "rho". ρ inherits the loop's
-cover bound, orbit pruning (automorphisms keep induced P3s) and n × n mask
-table. That table holds about n² masks of up to n bits, so both searches
-refuse an order past :data:`~genpos.graph.MAX_SEARCH_N` (1,200), whose
-comment gives the measurement behind it, with an InputError before any
-table is built.
+cover bound, orbit pruning (automorphisms keep induced P3s) and mask table,
+one mask per unordered pair for both searches. The table holds about n²/2
+masks of up to n bits, so both searches refuse an order past
+:data:`~genpos.graph.MAX_SEARCH_N` (1,200), whose comment gives the
+measurement behind it, with an InputError before any table is built.
 
 The conflict masks are built from geodesic intervals, with no distance
 matrix. A bitset BFS from each source a gives L_a[k], the vertices at
@@ -468,7 +468,8 @@ def _run_gp(
 ) -> tuple[int, VertexSet]:
     """Largest vertex set with no forbidden triple. masks(bits, clock) gives
     blocked[a][b], the bitmask of the y with {a, b, y} forbidden, on the
-    internal ids, or None once the deadline passes. An order past
+    internal ids, as one int per unordered pair, shared by blocked[a][b]
+    and blocked[b][a]; or None once the deadline passes. An order past
     :data:`~genpos.graph.MAX_SEARCH_N` raises InputError before any table
     is built."""
     n = g.n
@@ -629,14 +630,16 @@ def _p3_masks(bits: list[int], clock: SearchClock) -> list[list[int]] | None:
     """blocked[a][b]: bitmask of the y with {a, b, y} inducing a P_3, i.e.
     spanning two edges: N(a) ^ N(b) without a and b when a ~ b, else
     N(a) & N(b). On closed neighbourhoods N[v] these are N[a] ^ N[b] and
-    N[a] & N[b]. None once the deadline passes (checked once per source
-    row, counting no node)."""
+    N[a] & N[b]. Row a reuses the ints of its pairs (b, a), b < a, so the
+    table holds one int per unordered pair, the format :func:`_run_gp` asks
+    for. None once the deadline passes (checked once per row, no node)."""
     closed = [nb | 1 << b for b, nb in enumerate(bits)]
     blocked = []
     for a, ca in enumerate(closed):
         if clock.expired():
             return None
-        blocked.append([ca ^ cb if ca >> b & 1 else ca & cb for b, cb in enumerate(closed)])
+        own = [ca ^ cb if ca >> b & 1 else ca & cb for b, cb in enumerate(closed[a:], a)]
+        blocked.append([row[a] for row in blocked] + own)
     return blocked
 
 

@@ -98,6 +98,29 @@ def test_gp_kneser3_witness_validates(n):
     assert _validates(kneser(n, 3), pred.witness)
 
 
+def test_kneser_10_4_is_84_by_katona_circle():
+    # gp(K(10,4)) = 84, certified with no code from the solver. Below: the
+    # star of 4-sets holding 1. Above: Sym(10) acts on K(10,4) by
+    # automorphisms (its action, checked when the graph is built), and
+    # transitively, since the points are all 4-subsets of one 10-set. Averaged
+    # over the group, a gp set S meets some image of H in at least
+    # |S|·|H|/n vertices, and that part of S is in general position, so
+    # gp <= n·f(H)/|H| with f(H) the largest subset of H in general position.
+    # H is Katona's circle: the 10 cyclic 4-windows of 1..10.
+    g = kneser(10, 4)
+    d = distances(g)
+    star = kneser_star_witness(10, 4)
+    assert len(star) == 84 and is_general_position(d, star)
+    points = g.action.points
+    assert g.action.sizes == (10,) and len(points) == comb(10, 4)
+    assert all(p.bit_count() == 4 for p in points)
+    circle = [ksubset_index(10, tuple(sorted((s + i) % 10 + 1 for i in range(4)))) for s in range(10)]
+    assert len(set(circle)) == 10
+    f = max(len(t) for r in range(11) for t in combinations(circle, r) if is_general_position(d, t))
+    assert f == 4
+    assert g.n * f // len(circle) == 84
+
+
 def test_kneser_condition():
     assert not kneser_condition(7, 1).applicable
     # (6,2) clears the diameter gate (n >= 3k-1) but fails at t=2: 6 > 5

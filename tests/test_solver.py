@@ -278,12 +278,7 @@ def test_conflict_masks_on_long_geodesics(g):
         assert blocked[a][b] is blocked[b][a], (a, b)
 
 
-@settings(max_examples=60, deadline=None)
-@given(graphs(max_n=12))
-@example(edgeless(5))
-@example(complete(4))
-@example(disjoint_union(path(3), cycle(5)))
-def test_p3_masks_match_definition(g):
+def _check_p3_masks(g):
     # rho's masks against a triple scan of the edge list: y is in mask(a, b)
     # exactly when {a, b, y} spans two edges; internal vertex i is order[i]
     edges = {frozenset(e) for e in g.edges()}
@@ -296,6 +291,29 @@ def test_p3_masks_match_definition(g):
             if y not in (a, b) and sum(frozenset((order[u], order[v])) in edges for u, v in pairs) == 2:
                 want |= 1 << y
         assert blocked[a][b] == want, (a, b)
+    return blocked
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=12))
+@example(edgeless(5))
+@example(complete(4))
+@example(disjoint_union(path(3), cycle(5)))
+def test_p3_masks_match_definition(g):
+    _check_p3_masks(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cartesian_product(cycle(6), cycle(6)), corona(cycle(8), path(4)), kneser(6, 2)],
+    ids=["C6xC6", "corona(C8,P4)", "K(6,2)"],
+)
+def test_p3_masks_share_one_int_per_pair(g):
+    # the format _conflict_masks keeps, checked where masks exceed 256, since
+    # Python caches the small ints and an identity test there proves nothing
+    blocked = _check_p3_masks(g)
+    for a, b in itertools.combinations(range(g.n), 2):
+        assert blocked[a][b] is blocked[b][a], (a, b)
 
 
 def _check_cover(g, rnd, masks, ok):
