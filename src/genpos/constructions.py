@@ -23,11 +23,15 @@ list their edges directly, in time proportional to their number.
 Constructors attach the symmetry they know as a
 :class:`~genpos.graph.GroundAction`: ``kneser`` Sym(n) on {1..n},
 ``line_graph`` of a complete graph (2|E| = n(n - 1)) Sym(n) on the ends of
-its edges, and ``cartesian_product`` its factors' actions, where a complete
-factor without one lends Sym(n) on its vertices and h's ground set sits
-above g's, so that each factor's blocks keep their bits. The graph checks
-the action when it is built. Every other graph has none, K_n and E_n
-included: their masks are all 0, so no orbit is ever removed.
+its edges, ``cycle`` for n >= 4 D_n and ``path`` for n >= 3 the mirror
+v -> n - 1 - v, each on one block whose element v is vertex v's point, and
+``cartesian_product`` its factors' actions, where a complete factor without
+one, C_3 and P_2 included, lends Sym(n) on its vertices and h's ground set
+sits above g's, so that each factor's blocks keep their bits. A path or
+cycle past :data:`~genpos.graph.MAX_SEARCH_N`, an order no search takes,
+lists no points, which would cost n^2 bits. The graph checks the action
+when it is built. Every other graph has none, K_n and E_n included: their
+masks are all 0, so no orbit is ever removed.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from math import comb
 from operator import index
 
 from .errors import InputError
-from .graph import MAX_N, Graph, GroundAction, _check_count, _is_index
+from .graph import MAX_N, MAX_SEARCH_N, Graph, GroundAction, _check_count, _is_index
 
 
 def _check_args(rule: str, *args, low: int = 1) -> None:
@@ -56,10 +60,15 @@ def _comb_log2_lower(n: int, k: int) -> int:
     return m * (index(n // m).bit_length() - 1) if m > 0 else 0  # index: comb's TypeError for a float
 
 
+def _on_vertices(n: int, group: str) -> GroundAction:
+    """``group`` on one block whose element v is vertex v's point."""
+    return GroundAction((n,), tuple(1 << v for v in range(n)), (group,))
+
+
 def _action(g: Graph) -> GroundAction | None:
     """g's action, or Sym(n) on the vertices of a complete g that has none."""
     if g.action is None and 2 * g.edge_count == g.n * (g.n - 1):
-        return GroundAction((g.n,), tuple(1 << v for v in range(g.n)))
+        return _on_vertices(g.n, "sym")
     return g.action
 
 
@@ -78,13 +87,15 @@ def edgeless(n: int) -> Graph:
 def path(n: int) -> Graph:
     """P_n on vertices 0..n-1 in order."""
     _check_args("path(n) needs n >= 1, got {}", n)
-    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
+    action = _on_vertices(n, "mirror") if 3 <= n <= MAX_SEARCH_N else None
+    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)), action=action)
 
 
 def cycle(n: int) -> Graph:
     """C_n on vertices 0..n-1 in cyclic order."""
     _check_args("cycle(n) needs n >= 3, got {}", n, low=3)
-    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
+    action = _on_vertices(n, "dihedral") if 4 <= n <= MAX_SEARCH_N else None
+    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)), action=action)
 
 
 def ksubsets(n: int, k: int) -> list[tuple[int, ...]]:
@@ -128,7 +139,7 @@ def kneser(n: int, k: int) -> Graph:
         for w in combinations([b for b in bits if b > p & -p and not b & p], k)
     )
     labels = ("{" + ",".join(map(str, v)) + "}" for v in verts)
-    return Graph.from_edges(len(verts), edges, labels, GroundAction((n,), tuple(points)))
+    return Graph.from_edges(len(verts), edges, labels, GroundAction((n,), tuple(points), ("sym",)))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -145,7 +156,8 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     action = None
     if ag is not None and ah is not None:
         shift = sum(ag.sizes)
-        action = GroundAction(ag.sizes + ah.sizes, tuple(pa | pb << shift for pa in ag.points for pb in ah.points))
+        points = tuple(pa | pb << shift for pa in ag.points for pb in ah.points)
+        action = GroundAction(ag.sizes + ah.sizes, points, ag.groups + ah.groups)
     return Graph.from_edges(ng * nh, edges, labels, action)
 
 
@@ -187,5 +199,5 @@ def line_graph(g: Graph) -> Graph:
     labels = (f"{{{u},{v}}}" for u, v in edge_list)
     action = None
     if len(edge_list) == g.n * (g.n - 1) // 2:
-        action = GroundAction((g.n,), tuple(1 << u | 1 << v for u, v in edge_list))
+        action = GroundAction((g.n,), tuple(1 << u | 1 << v for u, v in edge_list), ("sym",))
     return Graph.from_edges(len(edge_list), edges, labels, action)

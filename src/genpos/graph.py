@@ -90,14 +90,18 @@ class GroundAction:
     ``points[v]`` is the bitmask over the ground set ``{0..sum(sizes)-1}``
     that vertex v stands for: the k-subset of a Kneser vertex, the two ends
     of an edge of K_n in L(K_n), one element of each block for a vertex of
-    a product of complete graphs. Block c is the bit range
-    ``[offset, offset + sizes[c])``, with offset ``sum(sizes[:c])``, and
-    Sym(sizes[c]) permutes it, independently for each c. A :class:`Graph`
-    built with an action checks that these permutations are automorphisms.
+    a product. Block c is the bit range ``[offset, offset + sizes[c])``,
+    with offset ``sum(sizes[:c])``, and the group ``groups[c]`` acts on it,
+    independently for each c: ``"sym"``, Sym(sizes[c]); ``"dihedral"``, D_n
+    on the block's cyclic order, n = sizes[c]; ``"mirror"``, the reversal
+    e -> n - 1 - e. In a dihedral or mirror block every point holds exactly
+    one element. A :class:`Graph` built with an action checks that rule and
+    that the groups act by automorphisms.
     """
 
     sizes: tuple[int, ...]
     points: tuple[int, ...]
+    groups: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,16 +184,19 @@ class Graph:
         return sum(len(s) for s in self.adj) // 2
 
 
-def _generators(offset: int, size: int):
+def _generators(offset: int, size: int, group: str):
     """Permutations of the block ``[offset, offset + size)`` that generate
-    Sym(size), acting on bitmasks: the transposition of its first two
-    elements and, when size > 2, the cycle e -> e + 1 (for size 2 the cycle
-    is the transposition)."""
+    its group, acting on bitmasks: the cycle e -> e + 1 and the reflection
+    e -> -e for D_size, the reversal e -> size - 1 - e for the mirror (both
+    read a point's one element of the block), and for Sym(size) the
+    transposition of its first two elements and, when size > 2, the cycle
+    (for size 2 the cycle is the transposition)."""
     if size < 2:
         return ()
     low = 1 << offset
     pair = 3 << offset
     block = ((1 << size) - 1) << offset
+    t = 0 if group == "dihedral" else size - 1
 
     def swap(m: int) -> int:
         return m ^ pair if (m ^ m >> 1) & low else m
@@ -198,20 +205,28 @@ def _generators(offset: int, size: int):
         b = m & block
         return m ^ b | (b << 1 & block) | (b >> (size - 1) & low)
 
-    return (swap,) if size == 2 else (swap, turn)
+    def reflect(m: int) -> int:  # e -> t - e
+        b = m & block
+        return m ^ b | low << (t + offset + 1 - b.bit_length()) % size
+
+    if group == "sym":
+        return (swap,) if size == 2 else (swap, turn)
+    return (turn, reflect) if group == "dihedral" else (reflect,)
 
 
 def _check_action(g: Graph) -> None:
     """Raise InputError unless g.action acts on g by automorphisms.
 
     Each of :func:`_generators`, block by block, must map every vertex's
-    point to a vertex's point and the neighbours of every vertex onto the
-    neighbours of its image; a bijection of the vertices that keeps edges
-    is an automorphism.
+    point to a vertex's point, and so permute the vertices, and every edge
+    onto an edge; a bijection of the vertices that keeps edges is an
+    automorphism.
     """
     a = g.action
     if not all(_is_index(size) for size in a.sizes):
         raise InputError(f"ground action: sizes {a.sizes!r} must be nonnegative integers")
+    if len(a.groups) != len(a.sizes) or not all(gr in ("sym", "dihedral", "mirror") for gr in a.groups):
+        raise InputError(f"ground action: groups {a.groups!r} must name sym, dihedral or mirror per block")
     if len(a.points) != g.n:
         raise InputError(f"ground action has {len(a.points)} points for n={g.n}")
     full = 1 << sum(a.sizes)
@@ -221,17 +236,21 @@ def _check_action(g: Graph) -> None:
     index = {p: v for v, p in enumerate(a.points)}
     if len(index) != g.n:
         raise InputError("ground action: two vertices share one point")
+    adj = g.adj
     offset = 0
-    for c, size in enumerate(a.sizes):
-        for move in _generators(offset, size):
+    for c, (size, group) in enumerate(zip(a.sizes, a.groups)):
+        block = ((1 << size) - 1) << offset
+        if group != "sym" and any((p & block).bit_count() != 1 for p in a.points):
+            raise InputError(f"ground action: a point holds other than one element of {group} block {c}")
+        for move in _generators(offset, size, group):
             image = []
             for v, p in enumerate(a.points):
                 w = index.get(move(p))
                 if w is None:
                     raise InputError(f"ground action: permuting block {c} maps vertex {v} to no vertex")
                 image.append(w)
-            for v, nbrs in enumerate(g.adj):
-                if {image[u] for u in nbrs} != g.adj[image[v]]:
+            for v, nbrs in enumerate(adj):
+                if not adj[image[v]].issuperset(map(image.__getitem__, nbrs)):
                     raise InputError(f"ground action: permuting block {c} does not keep the edges at vertex {v}")
         offset += size
 

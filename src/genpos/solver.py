@@ -115,23 +115,33 @@ The root is one part holding every vertex.
 
 Orbit pruning. A graph built by a constructor may carry a ground-set action
 (:class:`~genpos.graph.GroundAction`): each vertex is one bitmask over a
-ground set split into blocks, and Sym(B_1) x ... x Sym(B_d) permutes the
-blocks independently (Sym(n) on the k-subsets of {1..n} in K(n,k) and on
-the edges of K_n in L(K_n), Sym(q_i) on block i of K_q1 □ ... □ K_qd). The
-graph checked the action when it was built, so the search relies on it.
-Graphs without an action, including every graph read from a file and every
-product with an incomplete action-free factor, run the plain search.
+ground set split into blocks, and one group per block acts on it, all
+independently: Sym(B) permutes block B freely (Sym(n) on the k-subsets of
+{1..n} in K(n,k) and on the edges of K_n in L(K_n), Sym(q_i) on block i of
+K_q1 □ ... □ K_qd), and on a one-hot block, whose every point holds one
+element, D_n turns and reflects a cycle's vertices and the mirror reverses
+a path's. The graph checked the action when it was built, so the search
+relies on it. Graphs without an action, including every graph read from a
+file and every product with an incomplete action-free factor, run the plain
+search.
 
 The pointwise stabilizer Stab(S) of the chosen vertices is again such a
-product: it permutes each cell freely, where a cell is a class of the
-elements of one block that lie in the same members of S. The root's cells
-are the blocks. Each frame refines its parent's cells by the new vertex's
-point, and a frame whose cells are all singletons (and every frame below
-it) has a stabilizer that moves nothing. Vertex z is in x's orbit under
-Stab(S) when |z & A| = |x & A| for every cell A. The orbit is computed as
-one bitmask: with M[e] the vertices whose point holds e, a bit-sliced
-ripple-carry count of M[e] over e in A is compared with |x & A|, and the
-results are ANDed over the cells.
+product. On a Sym block it permutes each cell freely, where a cell is a
+class of the block's elements that lie in the same members of S; the root's
+cells are the blocks. On a one-hot block of n elements, with P the chosen
+vertices' elements of it, it is all of D_n while P is empty, the one
+reflection e -> t - e while 2p = t (mod n) for every p in P (the mirror is
+this reflection with t = n - 1), and trivial otherwise. Each frame refines
+its parent's cells by the new vertex's point and moves each one-hot block's
+state in O(1). A frame whose cells are all singletons and whose one-hot
+blocks are all trivial (and every frame below it) has a stabilizer that
+moves nothing; before then a singleton cell or a trivial block still pins
+its coordinate. Vertex z is in x's orbit under Stab(S) when |z & A| =
+|x & A| for every cell A and z's element of each one-hot block is x's
+element p, or t - p under a reflection. The orbit is computed as one
+bitmask: with M[e] the vertices whose point holds e, a one-hot block gives
+M[p] | M[t - p] or M[p], a bit-sliced ripple-carry count of M[e] over e in
+A is compared with |x & A|, and the results are ANDed.
 
 When the branch on x below S is done, x's whole orbit under Stab(S) leaves
 that frame's candidates; its members stay available inside x's own subtree.
@@ -308,23 +318,33 @@ def _orbit_tables(a: GroundAction, order: list[int]):
     """The action in internal ids: (xs, M, root, ground).
 
     xs[i] is internal vertex i's point; M[e] is the bitmask of the vertices
-    whose point holds ground element e. root is the root frame's cells (the
-    blocks), None when no cell can split, and ground the number of cells
-    once every cell is a singleton.
+    whose point holds ground element e. root is the root frame's state
+    (cells, hot): the Sym blocks as cells, and one (offset, size, t) per
+    one-hot block, t as in :func:`_refine`; None when the group moves
+    nothing. ground is the number of cells once every cell is a singleton.
     """
     xs = [a.points[v] for v in order]
-    ground = sum(a.sizes)
-    M = [0] * ground
+    M = [0] * sum(a.sizes)
     for i, x in enumerate(xs):
         for e in _iter_bits(x):
             M[e] |= 1 << i
-    offsets = accumulate(a.sizes, initial=0)
-    root = [((1 << size) - 1) << off for off, size in zip(offsets, a.sizes) if size]
-    return xs, M, None if len(root) == ground else root, ground
+    cells, hot = [], []
+    for off, size, group in zip(accumulate(a.sizes, initial=0), a.sizes, a.groups):
+        if group == "sym" and size:
+            cells.append(((1 << size) - 1) << off)
+        elif group != "sym" and size > 1:
+            hot.append((off, size, None if group == "dihedral" else size - 1))
+    ground = sum(cell.bit_count() for cell in cells)
+    return xs, M, None if len(cells) == ground and not hot else (cells, hot), ground
 
 
-def _refine(cells: list[int], x: int, ground: int) -> list[int] | None:
-    """Split every cell by the new vertex's point; None once all are singletons."""
+def _refine(state, x: int, ground: int):
+    """The child's state: every cell split by the new vertex's point x, and
+    every one-hot block's t moved by x's element p of it: None (all of D_n)
+    becomes 2p mod n, a t with 2p = t (mod n) stays (the reflection
+    e -> t - e), and any other t becomes -1 (trivial). None once every cell
+    is a singleton and every block trivial."""
+    cells, hot = state
     out = []
     for cell in cells:
         inside = cell & x
@@ -333,12 +353,26 @@ def _refine(cells: list[int], x: int, ground: int) -> list[int] | None:
             out.append(cell ^ inside)
         else:
             out.append(cell)
-    return None if len(out) == ground else out
+    moved = []
+    for off, size, t in hot:
+        p = (x >> off & (1 << size) - 1).bit_length() - 1
+        if t is None:
+            t = 2 * p % size
+        elif (2 * p - t) % size:
+            t = -1
+        moved.append((off, size, t))
+    return None if len(out) == ground and all(h[2] < 0 for h in moved) else (out, moved)
 
 
-def _orbit(C: int, x: int, cells: list[int], M: list[int]) -> int:
-    """The members of C in x's orbit under Stab(S), for S with these cells:
-    the z with |z & A| == |x & A| for every cell A."""
+def _orbit(C: int, x: int, state, M: list[int]) -> int:
+    """The members of C in x's orbit under Stab(S), for S with this state: the
+    z whose element q of each one-hot block with t >= 0 is x's p or t - p,
+    and equals p where t is -1, and with |z & A| == |x & A| for every cell A."""
+    cells, hot = state
+    for off, size, t in hot:
+        if t is not None:
+            p = (x >> off & (1 << size) - 1).bit_length() - 1
+            C &= M[off + p] | M[off + (t - p) % size] if t >= 0 else M[off + p]
     for A in cells:
         if not C:
             return 0

@@ -139,5 +139,12 @@ def symmetric_named():
         "Q4": hamming(2, 2, 2, 2),
         "K(5,2)xK2": cartesian_product(kneser(5, 2), complete(2)),
         "L(K4)xK2": cartesian_product(line_graph(complete(4)), complete(2)),
+        "C8": cycle(8),
+        "C5xC5": cartesian_product(cycle(5), cycle(5)),
+        "C6xP3": cartesian_product(cycle(6), path(3)),
+        "P4xP5": cartesian_product(path(4), path(5)),
+        "C5xK3": cartesian_product(cycle(5), complete(3)),
+        "C5xP2": cartesian_product(cycle(5), path(2)),
+        "P8xP3": cartesian_product(path(8), path(3)),
     }
     return list(builds.items())

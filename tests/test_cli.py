@@ -13,6 +13,7 @@ import genpos
 import genpos.cli
 from genpos import TheoremReport, Prediction, decode_graph6, kneser, path, write_graph
 from genpos.cli import main
+from genpos.graph import MAX_N
 from genpos.harness import FORMULAS
 
 
@@ -193,6 +194,16 @@ def test_edgeless_inside_the_order_limit_fits_in_memory():
     res = _run_cli("construct", "edgeless", "100000", "--format", "json", memory_kib=600_000, timeout=10)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == {"n": 100000, "edges": []}
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_long_paths_and_cycles_build_in_linear_memory(family):
+    # past the searches' order limit they carry no action: their n-bit
+    # one-element points would take about n²/8 bytes, 8 GB here
+    res = _run_cli("construct", family, str(MAX_N - 1), "--format", "json", memory_kib=600_000, timeout=10)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert (out["n"], len(out["edges"])) == (MAX_N - 1, MAX_N - 2 if family == "path" else MAX_N - 1)
 
 
 def test_huge_kneser_is_refused_before_its_order_is_computed(runner):

@@ -36,7 +36,7 @@ from genpos import (
     path,
     rho,
 )
-from genpos.graph import _check_action
+from genpos.graph import MAX_SEARCH_N, _check_action
 from genpos.solver import _degree_order, _orbit, _orbit_tables, _refine
 
 import corpus
@@ -91,19 +91,37 @@ def test_product_of_any_complete_graph_carries_the_action(g):
 
 
 @pytest.mark.parametrize(
+    "g,sizes,groups",
+    [
+        (path(4), (4,), ("mirror",)),
+        (cycle(5), (5,), ("dihedral",)),
+        (cartesian_product(cycle(4), path(3)), (4, 3), ("dihedral", "mirror")),
+        (cartesian_product(complete(3), cycle(4)), (3, 4), ("sym", "dihedral")),  # K3 lends Sym(3)
+        (cartesian_product(path(3), kneser(5, 2)), (3, 5), ("mirror", "sym")),
+        (cartesian_product(cycle(3), path(2)), (3, 2), ("sym", "sym")),  # both factors complete
+    ],
+    ids=["P4", "C5", "C4xP3", "K3xC4", "P3xK(5,2)", "C3xP2"],
+)
+def test_paths_cycles_and_their_products_carry_the_action(g, sizes, groups):
+    # a path's point is its vertex and the mirror reverses it; a cycle's
+    # point is its vertex and D_n turns and reflects it
+    assert (g.action.sizes, g.action.groups) == (sizes, groups)
+
+
+@pytest.mark.parametrize(
     "g",
     [
         complete(5),
-        path(4),
-        cycle(5),
-        cartesian_product(cycle(4), path(3)),  # neither factor has an action
+        path(2),  # complete: a product lends it Sym(2)
+        cycle(3),  # complete: a product lends it Sym(3)
+        path(MAX_SEARCH_N + 1),  # past the searches' order limit
         line_graph(cycle(5)),
         line_graph(kneser(5, 2)),  # the input is not complete
         join(complete(2), complete(2)),
         disjoint_union(complete(2), complete(2)),
         corona(complete(2), complete(1)),
-        cartesian_product(complete(3), cycle(4)),  # one factor is complete
-        cartesian_product(path(3), kneser(5, 2)),
+        cycle(MAX_SEARCH_N + 1),
+        cartesian_product(path(3), line_graph(cycle(5))),  # one factor has no action
         complement(kneser(5, 2)),
         induced_subgraph(kneser(5, 2), range(5)),
     ],
@@ -140,14 +158,21 @@ def test_action_of_another_labelling_is_refused():
 @pytest.mark.parametrize(
     "g,action",
     [
-        (cycle(5), GroundAction((5,), (1, 2, 4, 8, 16))),  # (0 1) maps the edge 1-2 to 0-2
-        (edgeless(3), GroundAction((3,), (1, 1, 2))),  # shared point
-        (edgeless(2), GroundAction((1,), (1, 2))),  # outside the ground set
-        (edgeless(3), GroundAction((3,), (1, 2))),  # too few points
-        (path(2), GroundAction((3,), (1, 2))),  # (0 1 2) maps vertex 1 to no vertex
-        (edgeless(1), GroundAction((-1,), (0,))),  # negative size
-        (edgeless(2), GroundAction((2,), ((1,), (2,)))),  # tuple point, not int
-        (edgeless(2), GroundAction((2.0,), (1, 2))),  # non-int size
+        (cycle(5), GroundAction((5,), (1, 2, 4, 8, 16), ("sym",))),  # (0 1) maps the edge 1-2 to 0-2
+        (edgeless(3), GroundAction((3,), (1, 1, 2), ("sym",))),  # shared point
+        (edgeless(2), GroundAction((1,), (1, 2), ("sym",))),  # outside the ground set
+        (edgeless(3), GroundAction((3,), (1, 2), ("sym",))),  # too few points
+        (path(2), GroundAction((3,), (1, 2), ("sym",))),  # (0 1 2) maps vertex 1 to no vertex
+        (edgeless(1), GroundAction((-1,), (0,), ("sym",))),  # negative size
+        (edgeless(2), GroundAction((2,), ((1,), (2,)), ("sym",))),  # tuple point, not int
+        (edgeless(2), GroundAction((2.0,), (1, 2), ("sym",))),  # non-int size
+        # a C6 labelled 0-2-4-1-3-5: the turn maps the edge 4-1 to 5-2
+        (Graph.from_edges(6, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 5), (5, 0)]), cycle(6).action),
+        (path(4), GroundAction((4,), path(4).action.points, ("dihedral",))),  # the turn maps 2-3 to 3-0
+        (edgeless(2), GroundAction((2,), (3, 1), ("mirror",))),  # a point of two elements
+        (edgeless(2), GroundAction((1,), (0, 1), ("mirror",))),  # a point of none; no move to check
+        (edgeless(2), GroundAction((2,), (1, 2), ("cyclic",))),  # no such group
+        (edgeless(2), GroundAction((2,), (1, 2), ())),  # no group for the block
     ],
 )
 def test_wrong_action_raises(g, action):
@@ -165,12 +190,22 @@ def test_check_runs_inside_the_budget():
 # --- orbit masks against brute force ---------------------------------------------
 
 
+def _block_group(size, group):
+    """Every element of one block's group, as a permutation of range(size)."""
+    if group == "sym":
+        return list(itertools.permutations(range(size)))
+    if group == "mirror":
+        return [tuple(range(size)), tuple(reversed(range(size)))]
+    # D_size: the turns e -> r + e and the reflections e -> r - e
+    return [tuple((r + s * e) % size for e in range(size)) for r in range(size) for s in (1, -1)]
+
+
 def _group(a):
     """Every element of the acting group, as one permutation of the ground set."""
     blocks = []
     offset = 0
-    for size in a.sizes:
-        blocks.append([tuple(offset + e for e in p) for p in itertools.permutations(range(size))])
+    for size, group in zip(a.sizes, a.groups):
+        blocks.append([tuple(offset + e for e in p) for p in _block_group(size, group)])
         offset += size
     return (sum(pi, ()) for pi in itertools.product(*blocks))
 
@@ -189,6 +224,11 @@ ORBIT_GRAPHS = [
     ("K2xK4", corpus.hamming(2, 4)),
     ("K2xK2xK3", corpus.hamming(2, 2, 3)),
     ("K2xK3xK2", corpus.hamming(2, 3, 2)),
+    ("C6", cycle(6)),
+    ("P5", path(5)),
+    ("C5xK3", cartesian_product(cycle(5), complete(3))),
+    ("C5xP2", cartesian_product(cycle(5), path(2))),
+    ("P4xC6", cartesian_product(path(4), cycle(6))),
 ]
 
 
@@ -201,20 +241,23 @@ def test_orbit_masks_equal_brute_force_orbits(name, g):
     pos = {v: i for i, v in enumerate(order)}
     xs, M, root, ground = _orbit_tables(a, order)
     rng = random.Random(name)
-    prefixes = [()] + [tuple(rng.sample(range(g.n), rng.randint(1, 3))) for _ in range(12)]
+    # every pair: after (0, 0) and (0, 1) in C5 x K3 the Sym cells are all
+    # singletons while the reflection fixing 0 still moves the cycle
+    pairs = list(itertools.combinations(range(g.n), 2))
+    prefixes = [()] + pairs + [tuple(rng.sample(range(g.n), rng.randint(1, 3))) for _ in range(12)]
     for S in prefixes:
         stab = [img for img in images if all(img[s] == s for s in S)]
-        cells = root
+        state = root
         for s in S:
-            if cells is not None:
-                cells = _refine(cells, xs[pos[s]], ground)
+            if state is not None:
+                state = _refine(state, xs[pos[s]], ground)
         for x in range(g.n):
             want = {img[x] for img in stab}
             i = pos[x]
-            if cells is None:
+            if state is None:
                 got = {x}
             else:
-                mask = _orbit((1 << g.n) - 1, xs[i], cells, M)
+                mask = _orbit((1 << g.n) - 1, xs[i], state, M)
                 got = {order[j] for j in range(g.n) if mask >> j & 1}
             assert got == want, (S, x)
 
@@ -246,7 +289,7 @@ def test_pruned_search_on_relabelled_copies(name, g):
         points = [None] * g.n
         for v, p in enumerate(g.action.points):
             points[perm[v]] = p
-        action = GroundAction(g.action.sizes, tuple(points))
+        action = GroundAction(g.action.sizes, tuple(points), g.action.groups)
         h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()], action=action)
         res = gp_exact(h)
         assert (res.value, res.status) == (want, EXACT)
@@ -255,9 +298,10 @@ def test_pruned_search_on_relabelled_copies(name, g):
 
 # --- an oracle that shares no code with the search ------------------------------------
 
-# every symmetric corpus graph (n <= 35), products with an action-free
-# factor, larger graphs up to n = 56, and graphs with no action, where the
-# clique cover does all the pruning
+# every symmetric corpus graph (n <= 35), products of complete graphs with
+# paths and cycles, a product with an edgeless factor, larger graphs up to
+# n = 56, and graphs with no action, where the clique cover does all the
+# pruning
 ILP_GRAPHS = SYMMETRIC + [
     ("K3xC4", cartesian_product(complete(3), cycle(4))),
     ("P3xK3", cartesian_product(path(3), complete(3))),
