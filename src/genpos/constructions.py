@@ -27,11 +27,11 @@ its edges, ``cycle`` for n >= 4 D_n and ``path`` for n >= 3 the mirror
 v -> n - 1 - v, each on one block whose element v is vertex v's point, and
 ``cartesian_product`` its factors' actions, where a complete factor without
 one, C_3 and P_2 included, lends Sym(n) on its vertices and h's ground set
-sits above g's, so that each factor's blocks keep their bits. A path or
-cycle past :data:`~genpos.graph.MAX_SEARCH_N`, an order no search takes,
-lists no points, which would cost n^2 bits. The graph checks the action
-when it is built. Every other graph has none, K_n and E_n included: their
-masks are all 0, so no orbit is ever removed.
+sits above g's, so that each factor's blocks keep their bits. A path,
+cycle or product past :data:`~genpos.graph.MAX_SEARCH_N`, an order no
+search takes, lists no points, which would cost up to n^2 bits. The graph
+checks the action when it is built. Every other graph has none, K_n and E_n
+included: their masks are all 0, so no orbit is ever removed.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     labels = (f"({a},{b})" for a in range(ng) for b in range(nh))
     ag, ah = _action(g), _action(h)
     action = None
-    if ag is not None and ah is not None:
+    if ag is not None and ah is not None and ng * nh <= MAX_SEARCH_N:
         shift = sum(ag.sizes)
         points = tuple(pa | pb << shift for pa in ag.points for pb in ah.points)
         action = GroundAction(ag.sizes + ah.sizes, points, ag.groups + ah.groups)

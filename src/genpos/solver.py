@@ -64,7 +64,8 @@ keep S plus itself free of forbidden triples (no subset of a set without
 one has one, so this pruning is lossless); a conflict table P: P_S[y], for
 y in C, is the OR over s in S of the masks of the pairs (y, s), the
 vertices z that some member of S makes a forbidden triple with y; the
-cells A of orbit pruning (below); and the parts of its cover (below).
+cells A of orbit pruning (below); and what its cover left over, with the
+room its parts cost (below).
 Branching on x kills P_S[x]; the child's table is P_S[y] | mask(x, y) over
 the surviving candidates, one operation per candidate.
 
@@ -102,16 +103,13 @@ is not opened: x's branch ends as if no candidate had survived, at the one
 site where a branch whose frame ran out ends, and no set in it beats the
 incumbent.
 
-A child whose cover does not fit branches in MCQ's colour order: part by
-part, from the vertices left over (one more part, costing its size) back to
-the first part built, lowest vertex first inside a part. A part's cost is
-one for a clique and two for an at-most-two part, a part of three or more
-whose top conflicts with no other member. In part j, a set below it holds at
-most cost_j of part j's candidates and cost_i of each part i built before,
-so |S| + min(|C|, cum_j + min(cost_j, |part_j & C|)), cum_j the cost of the
-parts before j, bounds every set its remaining branches reach, and it drops
-with each part finished; a frame ends once it does not beat the incumbent.
-The root is one part holding every vertex.
+A child whose cover does not fit branches only on the vertices its cover
+left over, lowest first: MCQ's rule, a vertex coloured within the room is
+never branched. Its parts cost all of its room, best_size - |S| when it
+opens, so |S| + min(|C|, room + |left & C|) bounds every set its remaining
+branches reach, and the frame ends once the leftover is spent, or sooner
+once the bound does not beat the incumbent. The root has room 0 and leaves
+every vertex over.
 
 Orbit pruning. A graph built by a constructor may carry a ground-set action
 (:class:`~genpos.graph.GroundAction`): each vertex is one bitmask over a
@@ -173,8 +171,8 @@ component triples never violate.
 ω runs its own loop: a Tomita-style branch and bound over vertex bitsets
 with a greedy-colouring bound, on an explicit stack too; α is ω of the
 complement. Every search labels the vertices in descending-degree order
-(ties by id), the gp loop's frames branching in their parts' order on those
-labels, and replaces its incumbent only on strict improvement, so an exact
+(ties by id), the gp loop's frames branching their leftover lowest label
+first, and replaces its incumbent only on strict improvement, so an exact
 witness is reproducible. A spent budget ends the loop, and the best set so far
 returns with status "lower-bound"; no search raises for it. The ``method``
 of each :class:`~genpos.budget.GpResult` is "exact", "rho", "omega" or
@@ -419,17 +417,16 @@ def _cover(
 
     Returns None when the cover fits in room. Otherwise it fills in the
     child table, Q[y] = P[y] | bx[y] for every y in C, and returns the
-    child's frame but its cells (see :func:`_run_gp`), starts holding C as
-    each part started and last the vertices left over. spare counts the
-    vertices the parts must still hold beyond their cost for the cover to fit.
+    child's frame but its cells (see :func:`_run_gp`): its parts then cost
+    all of room, and the frame holds the vertices they left over. spare
+    counts the vertices the parts must still hold beyond their cost for the
+    cover to fit.
     """
     spare = C.bit_count() - room
     if spare <= 0:
         return None
     cands, cost = C, room
-    starts = []
     while room:
-        starts.append(C)
         room -= 1
         y = C.bit_length() - 1
         C ^= 1 << y
@@ -477,24 +474,12 @@ def _cover(
             C ^= 1 << y
             Q[y] = q = P[y] | bx[y]
             K &= q
-    starts.append(C)
-    frame = [cands, Q, None, starts, C, cost, cost + C.bit_count()]
+    frame = [cands, Q, None, C, cost]
     while C:  # it does not fit: fill in the vertices it has not taken
         y = C.bit_length() - 1
         C ^= 1 << y
         Q[y] = P[y] | bx[y]
     return frame
-
-
-def _prior_part(starts: list[int], P: list[int], lo: int) -> tuple[int, int, int]:
-    """Pop the current part's start and return the part built before it as
-    (mask, lo, hi): hi is the current part's lo, and lo is two less for an
-    at-most-two part (at least three vertices, its top conflicting with no
-    other), else one less."""
-    part = starts.pop() ^ starts[-1]
-    y = starts[-1].bit_length() - 1
-    rest = part ^ 1 << y
-    return part, lo - 2 if rest and not rest & P[y] else lo - 1, lo
 
 
 def _run_gp(
@@ -519,28 +504,27 @@ def _run_gp(
     best: list[int] = []
     best_size = 0
 
-    # Depth-first search on an explicit stack of frames [C, P, A, starts,
-    # part, lo, hi], one per prefix chosen[:i], with C, P and A as in the
-    # module docstring (A is None once Stab(chosen[:i]) moves nothing);
-    # starts the starts of the cover's parts up to the current one, part,
-    # whose lo is the cost of the parts before it and hi lo plus its own, so
-    # min(|C|, hi, lo + |part & C|) bounds the vertices a set below
-    # chosen[:i] may add. The root is one part, every vertex. A branch on x
-    # ends at one site, reached when x's frame is exhausted or closed by
-    # that tail bound, or when the cover closes it before it opens; there
-    # x's whole orbit under its parent's stabilizer leaves the parent's C,
-    # unless the parent's tail bound is about to close it.
+    # Depth-first search on an explicit stack of frames [C, P, A, left,
+    # room], one per prefix chosen[:i], with C, P and A as in the module
+    # docstring (A is None once Stab(chosen[:i]) moves nothing), left the
+    # vertices the frame's cover left over and room what its parts cost, so
+    # min(|C|, room + |left & C|) bounds the vertices a set below chosen[:i]
+    # may add. A child's room is best_size - i when it opens, so the frame
+    # closes by the time left & C is spent. The root leaves every vertex
+    # over at room 0. A branch on x ends at one site, reached when x's frame
+    # is closed by that tail bound, or when the cover closes it before it
+    # opens; there x's whole orbit under its parent's stabilizer leaves the
+    # parent's C, unless the parent's tail bound is about to close it.
     # len(chosen) never exceeds best_size.
     tick = clock.tick
     chosen: list[int] = []
-    frames = [[(1 << n) - 1, [0] * n, root, [(1 << n) - 1], (1 << n) - 1, 0, n]]
+    frames = [[(1 << n) - 1, [0] * n, root, (1 << n) - 1, 0]]
     while frames:
-        C, P, A, starts, part, lo, hi = frame = frames[-1]
+        C, P, A, left, room = frame = frames[-1]
         if C and not tick():
             break
-        while not (R := part & C) and len(starts) > 1:  # on to the part built before
-            frame[4:] = part, lo, hi = _prior_part(starts, P, lo)
-        if len(chosen) + min(C.bit_count(), hi, lo + R.bit_count()) > best_size:
+        R = left & C
+        if len(chosen) + min(C.bit_count(), room + R.bit_count()) > best_size:
             xbit = R & -R
             C ^= xbit
             frame[0] = C
@@ -563,9 +547,9 @@ def _run_gp(
             frames.pop()
             if not frames:
                 break
-            C, _, A, _, part, lo, hi = frame = frames[-1]
+            C, _, A, left, room = frame = frames[-1]
         x = chosen.pop()
-        if A is not None and len(chosen) + min(C.bit_count(), hi, lo + (part & C).bit_count()) > best_size:
+        if A is not None and len(chosen) + min(C.bit_count(), room + (left & C).bit_count()) > best_size:
             frame[0] = C & ~_orbit(C, xs[x], A, M)
     return best_size, _to_original(best, order)
 

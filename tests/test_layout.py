@@ -3,7 +3,8 @@
 The membership checks in ``graph.py`` must share no code with the searches
 in ``solver.py``, the searches keep their internals to themselves, the
 constructors are the one place that builds a symmetry, no module carries an
-import it does not use, and ``import genpos`` stays free of the CLI.
+import it does not use, no module-level private name goes unused, and
+``import genpos`` stays free of the CLI.
 """
 
 import ast
@@ -104,6 +105,46 @@ def test_no_unused_imports(path):
         if module != "__future__" and bound not in used
     ]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_definitions(stmt: ast.stmt):
+    """The module-level private names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _references(stmt: ast.stmt) -> set[str]:
+    """Every name a statement reads, as a bare name, an attribute or an import."""
+    found = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_no_private_name_is_dead():
+    # a private name is for the package's own use, so some other top-level
+    # statement in src/genpos must read it; tests do not count
+    stmts = [(path.name, stmt) for path in MODULES for stmt in _tree(path).body]
+    refs = [_references(stmt) for _, stmt in stmts]
+    defined = [(i, name) for i, (_, stmt) in enumerate(stmts) for name in _private_definitions(stmt)]
+    assert defined
+    dead = [
+        f"{stmts[i][0]} line {stmts[i][1].lineno}: {name}"
+        for i, name in defined
+        if not any(name in r for j, r in enumerate(refs) if j != i)
+    ]
+    assert not dead, f"private names nothing in src/genpos reads: {dead}"
 
 
 def test_import_genpos_loads_no_cli():

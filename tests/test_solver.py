@@ -37,7 +37,7 @@ from genpos import (
 )
 from genpos.budget import SearchClock
 from genpos.graph import MAX_SEARCH_N
-from genpos.solver import _conflict_masks, _cover, _degree_order, _p3_masks, _prior_part
+from genpos.solver import _conflict_masks, _cover, _degree_order, _p3_masks
 
 import corpus
 import oracles
@@ -324,13 +324,15 @@ def _check_cover(g, rnd, masks, ok):
     # for sets S with no forbidden triple (ok) and the vertices C that each
     # keep S so, the cover never fits in less room than the largest T with
     # ok(T) and S <= T <= S + C needs beyond S. When it does not fit, it
-    # returns the child's frame: C, the whole table, and starts that split C
-    # into parts. The child branches on its parts last first, lowest vertex
-    # first inside a part; at each position of that order, the frame's tail
-    # bound min(|U|, hi, lo + |part & U|) must be at least what the largest
-    # such T needs inside U, the candidates not yet branched on. The table
-    # is built as the search keeps it, with S's last vertex x split off; T
-    # comes from enumeration. Internal vertex i is order[i].
+    # returns the child's frame: C, the whole table, the vertices its parts
+    # left over, and room, which its parts cost in full; no such T takes more
+    # than room from the parts. The child branches on the leftover only,
+    # lowest vertex first; at each position of that order, and once it is
+    # spent, the frame's tail bound min(|U|, room + |left & U|) must be at
+    # least what the largest such T needs inside U, the candidates not yet
+    # branched on. The table is built as the search keeps it, with S's last
+    # vertex x split off; T comes from enumeration. Internal vertex i is
+    # order[i].
     n = g.n
     bits, order = _degree_order(g)
     blocked = masks(bits, SearchClock())
@@ -363,18 +365,16 @@ def _check_cover(g, rnd, masks, ok):
             if child is None:
                 assert room >= need(mask), (S, room)
                 continue
-            U, table, _, starts, part, lo, hi = child
-            assert (U, table) == (mask, Q), (S, room)
+            U, table, _, left, cost = child
+            assert (U, table, cost) == (mask, Q, room), (S, room)
             assert all(Q[y] == P[y] | bx[y] for y in C), (S, room)
-            # each part starts inside the one before it: the parts split C
-            assert starts[0] == mask and all(t & ~s == 0 for s, t in zip(starts, starts[1:])), (S, room)
-            while U:
-                R = part & U
-                while not R and len(starts) > 1:
-                    part, lo, hi = _prior_part(starts, table, lo)
-                    R = part & U
-                assert R, (S, room)
-                assert min(U.bit_count(), hi, lo + R.bit_count()) >= need(U), (S, room, U)
+            assert left and left & ~mask == 0, (S, room)
+            assert need(mask & ~left) <= room, (S, room)
+            while True:
+                R = left & U
+                assert min(U.bit_count(), room + R.bit_count()) >= need(U), (S, room, U)
+                if not R:
+                    break
                 U ^= R & -R
 
 

@@ -99,8 +99,9 @@ def test_product_of_any_complete_graph_carries_the_action(g):
         (cartesian_product(complete(3), cycle(4)), (3, 4), ("sym", "dihedral")),  # K3 lends Sym(3)
         (cartesian_product(path(3), kneser(5, 2)), (3, 5), ("mirror", "sym")),
         (cartesian_product(cycle(3), path(2)), (3, 2), ("sym", "sym")),  # both factors complete
+        (cartesian_product(path(30), path(40)), (30, 40), ("mirror", "mirror")),  # order MAX_SEARCH_N
     ],
-    ids=["P4", "C5", "C4xP3", "K3xC4", "P3xK(5,2)", "C3xP2"],
+    ids=["P4", "C5", "C4xP3", "K3xC4", "P3xK(5,2)", "C3xP2", "P30xP40"],
 )
 def test_paths_cycles_and_their_products_carry_the_action(g, sizes, groups):
     # a path's point is its vertex and the mirror reverses it; a cycle's
@@ -124,6 +125,7 @@ def test_paths_cycles_and_their_products_carry_the_action(g, sizes, groups):
         cartesian_product(path(3), line_graph(cycle(5))),  # one factor has no action
         complement(kneser(5, 2)),
         induced_subgraph(kneser(5, 2), range(5)),
+        cartesian_product(path(35), path(35)),  # 1,225 vertices, past the searches' order limit
     ],
 )
 def test_other_graphs_have_no_action(g):
